@@ -233,6 +233,22 @@ class IncrementalCertifier:
         certifier._raise_floor()
         return certifier
 
+    @classmethod
+    def from_certificate(
+        cls,
+        certificate: CostCertificate,
+        strategy: Optional[str] = None,
+        label: str = "program",
+    ) -> "IncrementalCertifier":
+        """Seed the certifier from an :func:`audit_program` certificate
+        of the pre-run program: its per-function bounds are exactly what
+        :meth:`from_program` would derive, so nothing is audited twice."""
+        certifier = cls(strategy=strategy, label=label)
+        for bound in certificate.functions:
+            certifier._bounds[bound.function] = bound
+        certifier._raise_floor()
+        return certifier
+
     def attach(self, vm) -> "IncrementalCertifier":
         """Subscribe to *vm*'s load/replace event stream."""
         vm.on_code_event = self.on_event

@@ -139,6 +139,21 @@ class RunSpec:
     #: (:func:`~repro.analysis.reconcile.reconcile_plan`).
     plan: Optional[Tuple[Tuple[str, str], ...]] = None
 
+    def family_key(self) -> Tuple[object, ...]:
+        """The cell family: every field that shapes the transformed
+        program. Specs that differ only in run-time fields (trigger,
+        interval, phase, timer_period, seed) share one instrumented,
+        verified and audited program within a :meth:`ExperimentRunner.
+        run_many` batch."""
+        return (
+            self.workload,
+            self.scale,
+            self.strategy,
+            self.instrumentation,
+            self.yieldpoint_opt,
+            self.plan,
+        )
+
     def describe(self) -> str:
         parts = [self.workload, self.strategy.value]
         if self.plan is not None:
@@ -164,6 +179,8 @@ class RunResult:
     stats: ExecStats
     profiles: Dict[str, Profile] = field(default_factory=dict)
     transform_report: Optional[TransformReport] = None
+    #: wall time of the family's single transform (every cell of a
+    #: family reports the same figure; Table 2's ``xform ms`` column)
     transform_seconds: float = 0.0
     code_bytes: int = 0
     #: static audit of the transformed program (None with auditing off)
@@ -188,6 +205,19 @@ class RunResult:
 
 
 @dataclass
+class _Family:
+    """The work one cell family shares: its instrumentations, the
+    transformed and verified program, and the program's static audit."""
+
+    instrumentations: List[Instrumentation]
+    program: Program
+    report: Optional[TransformReport]
+    seconds: float
+    code_bytes: int
+    audit: Optional[AuditReport]
+
+
+@dataclass
 class CellRecord:
     """One computed experiment cell in the runner's timing log."""
 
@@ -203,7 +233,8 @@ class ExperimentRunner:
     Results are memoized per :class:`RunSpec` (cells are deterministic,
     so a repeat is always identical), baselines are additionally cached
     on disk when a persistent cache is configured, and batches of cells
-    can be fanned out over worker processes via :meth:`run_many`.
+    can be fanned out over worker processes via :meth:`run_many`, which
+    transforms each cell family once (docs/HARNESS.md, "Cell families").
 
     Args:
         cost_model: shared cycle model (one per runner so baselines and
@@ -485,17 +516,29 @@ class ExperimentRunner:
         """Transform per *spec*, execute, verify, and measure.
 
         Results are memoized: cells are deterministic, so a repeated
-        spec returns the first computation's result unchanged.
+        spec returns the first computation's result unchanged. A lone
+        call is a cell family of one; :meth:`run_many` shares each
+        family's transform across its cells.
         """
-        spec = self._apply_plan(spec)
-        memoized = self._run_memo.get(spec)
-        if memoized is not None:
-            self.memo_hits += 1
-            return memoized
-        cell_started = time.perf_counter()
-        program, base_result = self.baseline(spec.workload, spec.scale)
-        instrumentations = make_instrumentations(spec.instrumentation)
+        return self._run(spec, {})
 
+    def _family(
+        self, spec: RunSpec, program: Program, families: Dict[tuple, _Family]
+    ) -> _Family:
+        """*spec*'s family from the batch map, transformed, verified and
+        audited on first use; its instrumentations are reset, so the
+        cell about to run records into empty profiles."""
+        key = spec.family_key()
+        family = families.get(key)
+        if family is None:
+            family = families[key] = self._transform(spec, program)
+        for instrumentation in family.instrumentations:
+            instrumentation.reset()
+        return family
+
+    def _transform(self, spec: RunSpec, program: Program) -> _Family:
+        """Instrument, transform, verify and audit one family's program."""
+        instrumentations = make_instrumentations(spec.instrumentation)
         framework = SamplingFramework(
             spec.strategy, yieldpoint_opt=spec.yieldpoint_opt
         )
@@ -521,41 +564,62 @@ class ExperimentRunner:
             transformed = framework.transform(
                 program, None if checks_only else instrumentations
             )
-        transform_seconds = time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
+        self.metrics.counter("harness.transform.families").inc()
 
-        # Planned programs mix strategies, so the per-function
-        # ``notes["sampling"]`` stamps are authoritative for the audit
-        # (a single expected strategy would raise AUD009 mismatches).
-        expected_strategy = (
-            None if spec.plan is not None else spec.strategy.value
-        )
         audit_report: Optional[AuditReport] = None
         if self.audit:
             audit_report = audit_program(
                 transformed,
-                strategy=expected_strategy,
+                strategy=_expected_strategy(spec),
                 label=spec.describe(),
             )
-            self.metrics.counter("harness.audit.cells").inc()
-            if audit_report.findings:
-                self.metrics.counter("harness.audit.findings").inc(
-                    len(audit_report.findings)
-                )
             if not audit_report.ok:
                 raise HarnessError(
                     f"{spec.describe()}: static audit failed\n"
                     + audit_report.render()
                 )
+        return _Family(
+            instrumentations=instrumentations,
+            program=transformed,
+            report=framework.last_report,
+            seconds=seconds,
+            code_bytes=transformed.total_code_size_bytes(),
+            audit=audit_report,
+        )
+
+    def _run(self, spec: RunSpec, families: Dict[tuple, _Family]) -> RunResult:
+        """:meth:`run`, with *spec*'s family looked up in (and added
+        to) the batch map *families*."""
+        spec = self._apply_plan(spec)
+        memoized = self._run_memo.get(spec)
+        if memoized is not None:
+            self.memo_hits += 1
+            return memoized
+        cell_started = time.perf_counter()
+        program, base_result = self.baseline(spec.workload, spec.scale)
+        family = self._family(spec, program, families)
+        transformed = family.program
+
+        audit_report: Optional[AuditReport] = None
+        if family.audit is not None:
+            audit_report = _relabeled(family.audit, spec.describe())
+            self.metrics.counter("harness.audit.cells").inc()
+            if audit_report.findings:
+                self.metrics.counter("harness.audit.findings").inc(
+                    len(audit_report.findings)
+                )
 
         # Dynamic programs change their function table mid-run, so the
         # pre-run certificate stops describing the executed code: an
         # incremental certifier audits every loaded/replaced function at
-        # its load event and maintains the certificate by deltas.
+        # its load event and maintains the certificate by deltas,
+        # starting from the family audit's per-function bounds.
         certifier: Optional[IncrementalCertifier] = None
-        if self.audit and transformed.is_dynamic():
-            certifier = IncrementalCertifier.from_program(
-                transformed,
-                strategy=expected_strategy,
+        if audit_report is not None and transformed.is_dynamic():
+            certifier = IncrementalCertifier.from_certificate(
+                audit_report.certificate,
+                strategy=_expected_strategy(spec),
                 label=spec.describe(),
             )
 
@@ -719,8 +783,10 @@ class ExperimentRunner:
             }
             self._absorb_profile(snapshot)
 
+        # Copies: the family's instrumentations record the next cell too.
         profiles = {
-            instr.profile.name: instr.profile for instr in instrumentations
+            instr.profile.name: instr.profile.copy()
+            for instr in family.instrumentations
         }
         run_result = RunResult(
             spec=spec,
@@ -728,9 +794,9 @@ class ExperimentRunner:
             cycles=result.stats.cycles,
             stats=result.stats,
             profiles=profiles,
-            transform_report=framework.last_report,
-            transform_seconds=transform_seconds,
-            code_bytes=transformed.total_code_size_bytes(),
+            transform_report=family.report,
+            transform_seconds=family.seconds,
+            code_bytes=family.code_bytes,
             audit=audit_report,
             vm_seconds=vm_seconds,
             profile=profile_payload,
@@ -810,6 +876,11 @@ class ExperimentRunner:
         The returned list matches *specs* positionally. Cells are
         deterministic, so the outcome is bit-identical to a serial
         loop regardless of the worker count; only wall time changes.
+
+        The batch transforms each cell family (:meth:`RunSpec.
+        family_key`) once: its cells share the instrumented, verified
+        and audited program, and the pool runs a family's cells in one
+        task. The shared programs are dropped when the batch returns.
         """
         specs = [self._apply_plan(spec) for spec in specs]
         jobs = effective_jobs(jobs if jobs is not None else self.jobs)
@@ -822,6 +893,9 @@ class ExperimentRunner:
         if pending and jobs > 1 and len(pending) > 1:
             outcomes = run_specs(
                 pending, RunnerConfig.from_runner(self), jobs
+            )
+            self.metrics.counter("harness.transform.families").inc(
+                len({spec.family_key() for spec in pending})
             )
             for spec, outcome in zip(pending, outcomes):
                 self._run_memo[spec] = outcome.result
@@ -846,7 +920,8 @@ class ExperimentRunner:
                         baseline_cache_hit=outcome.baseline_cache_hit,
                     )
                 )
-        return [self.run(spec) for spec in specs]
+        families: Dict[tuple, _Family] = {}
+        return [self._run(spec, families) for spec in specs]
 
     def prefetch(
         self, specs: Sequence[RunSpec], jobs: Optional[int] = None
@@ -855,7 +930,7 @@ class ExperimentRunner:
 
         Table generators call this with their full experiment matrix
         before assembling rows, so row construction itself stays a
-        sequence of memo hits and the serial code path is untouched.
+        sequence of memo hits and each cell family is transformed once.
         """
         self.run_many(specs, jobs=jobs)
 
@@ -888,6 +963,9 @@ class ExperimentRunner:
         workers = len(
             {rec.source for rec in computed if rec.source.startswith("pool:")}
         )
+        baselines = sum(
+            1 for rec in computed if rec.source.startswith("baseline")
+        )
         lines = [
             text,
             f"  cells computed: {len(computed)} "
@@ -895,6 +973,9 @@ class ExperimentRunner:
             f"memo hits: {self.memo_hits}",
             f"  compute seconds: "
             f"{sum(rec.seconds for rec in computed):.2f}",
+            f"  transforms: "
+            f"{self._metric_value('harness.transform.families')} for "
+            f"{len(computed) - baselines} cells",
         ]
         if self.baseline_cache is not None:
             # Sourced from the metrics registry, not the cache handle:
@@ -1091,6 +1172,29 @@ COMPACTION_MATRIX_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy.PARTIAL_DUPLICATION,
     Strategy.NO_DUPLICATION,
 )
+
+
+def _expected_strategy(spec: RunSpec) -> Optional[str]:
+    """The strategy a cell's audit expects. Planned programs mix
+    strategies, so their per-function ``notes["sampling"]`` stamps are
+    authoritative (a single expected strategy would raise AUD009
+    mismatches)."""
+    return None if spec.plan is not None else spec.strategy.value
+
+
+def _relabeled(report: AuditReport, label: str) -> AuditReport:
+    """The family's audit under one cell's label: findings and bounds
+    belong to the shared program, the label to the cell."""
+    certificate = report.certificate
+    return replace(
+        report,
+        label=label,
+        certificate=(
+            replace(certificate, label=label)
+            if certificate is not None
+            else None
+        ),
+    )
 
 
 def _plan_section(spec: RunSpec) -> Dict[str, object]:

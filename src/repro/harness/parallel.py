@@ -11,9 +11,11 @@ over:
   cache directory) in its initializer, so per-workload compilation and
   baseline execution happen at most once per worker — or once *ever*
   when a persistent baseline cache directory is shared;
-* cells are dispatched with ``chunksize=1`` and results are collected
-  in submission order, so the caller sees the exact list it would get
-  from a serial loop;
+* cells are dispatched one *cell family* per task (``chunksize=1``;
+  :meth:`~repro.harness.RunSpec.family_key`): the worker runs the
+  family's cells in order on one shared transformed program, and the
+  outcomes are unpacked back into submission order, so the caller sees
+  the exact list it would get from a serial loop;
 * every cell is seeded deterministically from its spec content
   (:func:`cell_seed`), never from worker identity, scheduling order, or
   wall clock — the same spec produces bit-identical results at any
@@ -32,8 +34,9 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import HarnessError
 from repro.vm.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,7 +48,8 @@ JOBS_ENV = "REPRO_JOBS"
 
 def effective_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a ``--jobs`` value: explicit arg, else ``$REPRO_JOBS``,
-    else 1. Zero or negative means "all cores"."""
+    else 1. Zero or negative means "all cores". A ``$REPRO_JOBS`` that
+    is not an integer is a :class:`HarnessError`."""
     if jobs is None:
         raw = os.environ.get(JOBS_ENV, "").strip()
         if not raw:
@@ -53,7 +57,7 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
         try:
             jobs = int(raw)
         except ValueError:
-            raise ValueError(
+            raise HarnessError(
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
     if jobs <= 0:
@@ -188,7 +192,7 @@ def _init_worker(config: RunnerConfig) -> None:
     _WORKER_RUNNER = config.build_runner()
 
 
-def _run_cell(spec: "RunSpec") -> CellOutcome:
+def _run_cell(spec: "RunSpec", families: dict) -> CellOutcome:
     runner = _WORKER_RUNNER
     if runner is None:  # pragma: no cover - initializer always runs
         raise RuntimeError("worker pool used without initialization")
@@ -198,7 +202,7 @@ def _run_cell(spec: "RunSpec") -> CellOutcome:
     else:
         before = (0, 0, 0)
     started = time.perf_counter()
-    result = runner.run(spec)
+    result = runner._run(spec, families)
     seconds = time.perf_counter() - started
     if cache is not None:
         after = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
@@ -215,6 +219,13 @@ def _run_cell(spec: "RunSpec") -> CellOutcome:
     )
 
 
+def _run_family(specs: List["RunSpec"]) -> List[CellOutcome]:
+    """One pool task: a cell family's cells, in order, sharing one
+    transformed program."""
+    families: dict = {}
+    return [_run_cell(spec, families) for spec in specs]
+
+
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -229,24 +240,35 @@ def run_specs(
 ) -> List[CellOutcome]:
     """Execute *specs* over *jobs* worker processes, in order.
 
-    Falls back to an in-process loop for jobs<=1 or tiny batches, so
-    callers can route everything through one entry point.
+    Each task is one cell family's specs. Falls back to an in-process
+    loop for jobs<=1 or a single family, so callers can route
+    everything through one entry point.
     """
-    specs = list(specs)
+    groups: Dict[tuple, List[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(spec.family_key(), []).append(index)
+    tasks = [[specs[i] for i in indices] for indices in groups.values()]
     jobs = max(1, jobs)
-    if jobs == 1 or len(specs) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         _init_worker(config)
         try:
-            return [_run_cell(spec) for spec in specs]
+            done = [_run_family(task) for task in tasks]
         finally:
             _reset_worker()
-    ctx = _pool_context()
-    with ctx.Pool(
-        processes=min(jobs, len(specs)),
-        initializer=_init_worker,
-        initargs=(config,),
-    ) as pool:
-        return pool.map(_run_cell, specs, chunksize=1)
+    else:
+        ctx = _pool_context()
+        with ctx.Pool(
+            processes=min(jobs, len(tasks)),
+            initializer=_init_worker,
+            initargs=(config,),
+        ) as pool:
+            done = pool.map(_run_family, tasks, chunksize=1)
+    by_index = {
+        index: outcome
+        for indices, family_outcomes in zip(groups.values(), done)
+        for index, outcome in zip(indices, family_outcomes)
+    }
+    return [by_index[index] for index in range(len(specs))]
 
 
 def _reset_worker() -> None:

@@ -7,11 +7,14 @@ place our measured values next to the paper's published ones. The
 generator; EXPERIMENTS.md records a captured run.
 
 Every generator first *enumerates* its full experiment matrix and
-hands it to :meth:`ExperimentRunner.prefetch`, which fans uncomputed
-cells over the worker pool when the runner is configured with
-``jobs > 1`` (``--jobs`` / ``$REPRO_JOBS``). Row assembly then runs
-the same serial code it always did, hitting the runner's memo — so a
-parallel run is cell-for-cell identical to a serial one.
+hands it to :meth:`ExperimentRunner.prefetch`. That one batch
+transforms, verifies and audits each cell family once (the cells that
+differ only in trigger, interval, phase, timer period or seed — Table
+4's interval sweep, Table 5's trigger grid), and fans the families
+over the worker pool when the runner is configured with ``jobs > 1``
+(``--jobs`` / ``$REPRO_JOBS``). Row assembly then runs as a sequence of
+memo hits, so a parallel run is cell-for-cell identical to a serial
+one. Table 2's ``xform ms`` is the family's single transform time.
 """
 
 from __future__ import annotations

@@ -36,6 +36,12 @@ class Profile:
     def clear(self) -> None:
         self.counts.clear()
 
+    def copy(self) -> "Profile":
+        """An independent profile with the same name and counts."""
+        clone = Profile(self.name)
+        clone.counts = dict(self.counts)
+        return clone
+
     # -- queries -----------------------------------------------------------
 
     def total(self) -> int:

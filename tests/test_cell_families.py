@@ -1,0 +1,187 @@
+"""Cell families: one transform per family, indistinguishable cells.
+
+``ExperimentRunner.run_many`` transforms, verifies and audits each cell
+family (:meth:`RunSpec.family_key` -- every spec field except trigger,
+interval, phase, timer_period and seed) once per batch, and runs the
+family's cells on the shared program. These tests pin that sharing is
+invisible: every cell of a mixed batch equals the same spec run alone
+in a fresh runner (value, cycles, stats, profiles, manifest), earlier
+cells' profiles survive later cells of their family, the transform runs
+once per family, and the pool agrees with the serial path.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.harness import ExperimentRunner, RunSpec
+from repro.harness.experiment import make_instrumentations
+from repro.sampling import Strategy
+from repro.sampling import framework as framework_module
+
+FULL = Strategy.FULL_DUPLICATION
+
+#: Every instrumentation kind the harness registers, in one spec.
+ALL_KINDS = (
+    "call-edge", "field-access", "block-count", "edge-profile",
+    "param-value", "path-profile", "branch-bias", "cct", "none",
+)
+
+#: A plan putting one compress function under No-Duplication.
+PLAN = (("rleCompress", Strategy.NO_DUPLICATION.value),)
+
+#: Families interleave, so a family's cells are not contiguous.
+BATCH = [
+    RunSpec("compress", FULL, ALL_KINDS, trigger="never", scale=1),
+    RunSpec("compress", FULL, ALL_KINDS, trigger="counter", interval=1,
+            scale=1),
+    RunSpec("dynload", FULL, ("call-edge",), trigger="counter", interval=5),
+    RunSpec("compress", FULL, ALL_KINDS, trigger="counter", interval=7,
+            scale=1),
+    RunSpec("osr", Strategy.PARTIAL_DUPLICATION, ("block-count",),
+            trigger="counter", interval=5),
+    RunSpec("compress", FULL, ALL_KINDS, trigger="counter", interval=7,
+            phase=3, scale=1),
+    RunSpec("compress", FULL, ALL_KINDS, trigger="timer",
+            timer_period=3000, scale=1),
+    RunSpec("dynload", FULL, ("call-edge",), trigger="randomized",
+            interval=5),
+    RunSpec("compress", FULL, ALL_KINDS, trigger="randomized", interval=7,
+            scale=1),
+    RunSpec("osr", Strategy.PARTIAL_DUPLICATION, ("block-count",),
+            trigger="timer", timer_period=2000),
+    RunSpec("compress", FULL, ("call-edge", "field-access"),
+            trigger="counter", interval=3, scale=1, plan=PLAN),
+    RunSpec("compress", FULL, ("call-edge", "field-access"),
+            trigger="counter", interval=30, scale=1, plan=PLAN),
+    RunSpec("compress", Strategy.NO_DUPLICATION, ("path-profile",),
+            trigger="randomized", interval=4, seed=11, scale=1),
+    RunSpec("compress", Strategy.NO_DUPLICATION, ("path-profile",),
+            trigger="counter", interval=4, scale=1),
+]
+
+FAMILIES = {spec.family_key() for spec in BATCH}
+
+
+def _fingerprint(result):
+    return (
+        result.value,
+        result.cycles,
+        result.stats.as_dict(),
+        {name: dict(p.counts) for name, p in result.profiles.items()},
+    )
+
+
+def _manifest_json(result):
+    """The manifest without its host-side fields (wall time, and where
+    the cell ran)."""
+    payload = result.manifest.as_dict()
+    payload.pop("wall_seconds")
+    payload.pop("source")
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def batch_results():
+    runner = ExperimentRunner(cache=False, telemetry=True)
+    return runner, runner.run_many(BATCH, jobs=1)
+
+
+def test_batch_covers_every_instrumentation_kind():
+    kinds = {instr.profile.name for instr in make_instrumentations(ALL_KINDS)}
+    assert len(kinds) == 9
+    assert len(FAMILIES) == 5 < len(BATCH)
+
+
+def test_each_cell_matches_a_solo_run(batch_results):
+    _runner, results = batch_results
+    for spec, result in zip(BATCH, results):
+        solo = ExperimentRunner(cache=False, telemetry=True).run(spec)
+        assert _fingerprint(result) == _fingerprint(solo), spec.describe()
+        assert _manifest_json(result) == _manifest_json(solo), (
+            spec.describe()
+        )
+        assert result.audit.as_dict() == solo.audit.as_dict()
+
+
+def test_earlier_profiles_survive_later_cells(monkeypatch):
+    """Each cell's profiles, as they stood when the cell returned, are
+    unchanged after the rest of its family has run."""
+    at_return = []
+    original = ExperimentRunner._run
+
+    def recording(self, spec, families):
+        result = original(self, spec, families)
+        at_return.append(
+            {name: dict(p.counts) for name, p in result.profiles.items()}
+        )
+        return result
+
+    monkeypatch.setattr(ExperimentRunner, "_run", recording)
+    results = ExperimentRunner(cache=False).run_many(BATCH, jobs=1)
+    # the first len(BATCH) returns are the computations, the rest the
+    # memo hits that assemble the returned list
+    assert at_return[: len(BATCH)] == [
+        {name: dict(p.counts) for name, p in result.profiles.items()}
+        for result in results
+    ]
+    profiles = [p for result in results for p in result.profiles.values()]
+    assert len({id(p) for p in profiles}) == len(profiles)
+
+
+def test_transform_runs_once_per_family(monkeypatch):
+    calls = {"transform": 0, "planned": 0}
+    transform = framework_module.SamplingFramework.transform
+    planned = framework_module.transform_planned
+
+    def counting_transform(self, *args, **kwargs):
+        calls["transform"] += 1
+        return transform(self, *args, **kwargs)
+
+    def counting_planned(*args, **kwargs):
+        calls["planned"] += 1
+        return planned(*args, **kwargs)
+
+    monkeypatch.setattr(
+        framework_module.SamplingFramework, "transform", counting_transform
+    )
+    monkeypatch.setattr(framework_module, "transform_planned", counting_planned)
+    runner = ExperimentRunner(cache=False)
+    runner.run_many(BATCH, jobs=1)
+    assert calls == {"transform": len(FAMILIES) - 1, "planned": 1}
+    assert (
+        runner.metrics.counter("harness.transform.families").value
+        == len(FAMILIES)
+    )
+    assert f"transforms: {len(FAMILIES)} for {len(BATCH)} cells" in (
+        runner.timing_report()
+    )
+    # a lone run() outside a batch is a family of one
+    lone = ExperimentRunner(cache=False)
+    lone.run(BATCH[0])
+    lone.run(BATCH[1])
+    assert calls["transform"] == len(FAMILIES) + 1
+
+
+def test_pool_agrees_with_serial(batch_results):
+    serial_runner, serial = batch_results
+    runner = ExperimentRunner(cache=False, telemetry=True)
+    pooled = runner.run_many(BATCH, jobs=2)
+    assert [_fingerprint(r) for r in pooled] == [
+        _fingerprint(r) for r in serial
+    ]
+    assert [_manifest_json(r) for r in pooled] == [
+        _manifest_json(r) for r in serial
+    ]
+    assert [m.spec for m in runner.manifests] == [
+        m.spec for m in serial_runner.manifests
+    ]
+    assert [rec.label for rec in runner.cell_log] == [
+        spec.describe() for spec in BATCH
+    ]
+    assert (
+        runner.metrics.counter("harness.transform.families").value
+        == len(FAMILIES)
+    )

@@ -151,3 +151,12 @@ class TestTables:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "AVERAGE" in out
+
+    def test_bad_jobs_env_is_an_error_not_a_traceback(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        assert main(["tables", "table3", "--no-cache"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_JOBS must be an integer")
+        assert "Traceback" not in err

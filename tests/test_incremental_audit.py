@@ -294,3 +294,41 @@ class TestMonotoneFloor:
         assert certifier.events[-1]["checks_per_backedge"] == 1
         assert certifier.dynamic_certificate().checks_per_backedge == 1
         assert certifier.snapshot().checks_per_backedge == 0
+
+
+class TestSeededFromAuditCertificate:
+    """A certifier seeded from the pre-run audit's certificate (what the
+    harness does once per cell family) is indistinguishable from one
+    that re-audits every function with ``from_program``: before the run
+    and after the run's load/replace events."""
+
+    @pytest.mark.parametrize("workload", ["dynload", "osr"])
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.FULL_DUPLICATION, Strategy.NO_DUPLICATION]
+    )
+    def test_seeded_equals_from_program(self, workload, strategy):
+        from repro.workloads import get_workload
+
+        transformed = _transform(get_workload(workload).compile(), strategy)
+        report = audit_program(
+            transformed, strategy=strategy.value, label=workload
+        )
+        certifiers = [
+            IncrementalCertifier.from_program(
+                transformed, strategy=strategy.value, label=workload
+            ),
+            IncrementalCertifier.from_certificate(
+                report.certificate, strategy=strategy.value, label=workload
+            ),
+        ]
+        rebuilt, seeded = certifiers
+        assert seeded.snapshot() == rebuilt.snapshot()
+        assert seeded.dynamic_certificate() == rebuilt.dynamic_certificate()
+        for certifier in certifiers:
+            vm = VM(transformed, trigger=CounterTrigger(50))
+            certifier.attach(vm)
+            vm.run()
+        assert seeded.loads + seeded.replaces > 0
+        assert seeded.events == rebuilt.events
+        assert seeded.snapshot() == rebuilt.snapshot()
+        assert seeded.dynamic_certificate() == rebuilt.dynamic_certificate()

@@ -15,6 +15,7 @@ import multiprocessing
 
 import pytest
 
+from repro.errors import HarnessError
 from repro.harness import (
     ExperimentRunner,
     RunSpec,
@@ -105,7 +106,7 @@ class TestJobsKnob:
 
     def test_garbage_env_value_is_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "lots")
-        with pytest.raises(ValueError, match=JOBS_ENV):
+        with pytest.raises(HarnessError, match=JOBS_ENV):
             effective_jobs(None)
 
     def test_nonpositive_means_all_cores(self, monkeypatch):
