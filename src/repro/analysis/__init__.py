@@ -13,7 +13,8 @@ Entry points:
 * :func:`build_certificate` — the static cost bound (usually taken from
   the :class:`AuditReport` returned by :func:`audit_program`).
 * :func:`reconcile` / :func:`reconcile_manifest` — validate dynamic
-  ExecStats against a certificate; :func:`reconcile_stream` — validate
+  ExecStats against a certificate; :func:`property1_vs_baseline` —
+  Property 1 of a run against its uninstrumented baseline run; :func:`reconcile_stream` — validate
   a (compacted) telemetry stream against the run's counters.
 * :func:`analyze_program` — interprocedural cost analysis (call graph,
   trip counts, summary polynomials); :func:`plan_program` — the static
@@ -66,6 +67,7 @@ from repro.analysis.planner import (
 from repro.analysis.reconcile import (
     ReconcileVerdict,
     measured_function_checks,
+    property1_vs_baseline,
     reconcile,
     reconcile_manifest,
     reconcile_plan,
@@ -105,6 +107,7 @@ __all__ = [
     "measured_function_checks",
     "plan_program",
     "program_rule",
+    "property1_vs_baseline",
     "reconcile_plan",
     "run_program_rules",
     "tally",

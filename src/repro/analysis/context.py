@@ -38,7 +38,7 @@ from repro.cfg.graph import CFG
 from repro.cfg.loops import NaturalLoop, natural_loops, sampling_backedges
 
 #: Strategy note values (mirrors ``Strategy.value`` without importing
-#: :mod:`repro.sampling`, which imports *us* for its properties shim).
+#: :mod:`repro.sampling`, keeping the analysis layer free of it).
 EXHAUSTIVE = "exhaustive"
 FULL_DUPLICATION = "full-duplication"
 PARTIAL_DUPLICATION = "partial-duplication"

@@ -83,6 +83,23 @@ def reconcile(
     )
 
 
+def property1_vs_baseline(transformed, baseline) -> bool:
+    """Property 1 across two runs: checks executed in the transformed
+    run must not exceed the *baseline* run's method entries, thread
+    spawns and backedges.
+
+    This is the paper's statement verbatim (the bound is over the
+    uninstrumented execution); both arguments are
+    :class:`~repro.vm.tracing.ExecStats` of runs on the same input.
+    GUARDED_INSTR polls are No-Duplication's and exempt by definition
+    (the paper's §3.2 weakening), so only CHECKs count.
+    """
+    opportunities = (
+        baseline.calls + baseline.threads_spawned + baseline.backward_jumps
+    )
+    return transformed.checks_executed <= opportunities
+
+
 def reconcile_profile(snapshot: Mapping[str, Any]) -> ReconcileVerdict:
     """Check an :class:`~repro.profiling.OverheadProfiler` snapshot
     against its Property-1-style sample bound.
@@ -273,7 +290,7 @@ def reconcile_manifest(manifest) -> ReconcileVerdict:
     if not cert_payload:
         raise AnalysisError(
             "manifest carries no cost certificate "
-            "(was the run audited? see ExperimentRunner(audit=...))"
+            "(was it written by ExperimentRunner with telemetry on?)"
         )
     certificate = CostCertificate.from_dict(cert_payload)
     return reconcile(certificate, manifest.stats)

@@ -18,13 +18,14 @@ Commands:
   attached and export the event stream (Chrome ``trace_event`` JSON or
   JSONL); see docs/OBSERVABILITY.md.
 * ``metrics``        — same run, but print the metrics-registry
-  snapshot instead of the trace (plus the static audit verdict and
-  cost-certificate reconciliation for the run).
+  snapshot instead of the trace (plus the cell's static audit verdict
+  and cost-certificate reconciliation).
 * ``lint``           — transform and statically audit without running:
   invariant certifier + lint rules over every function
   (docs/ANALYSIS.md has the rule catalog).
-* ``audit``          — transform, audit, run, and reconcile the dynamic
-  counters against the static cost certificate.
+* ``audit``          — the cell's static audit, its run, and the
+  reconciliation of the dynamic counters against the cost certificate,
+  as one findings document.
 * ``plan``           — interprocedural cost analysis + static strategy
   planner: pick the cheapest sound duplication strategy per function
   under a budget, emit the plan artifact, and (``--check``) execute
@@ -35,6 +36,14 @@ Commands:
 * ``ledger``         — show or trend-check the continuous
   perf-regression ledger (``BENCH_history.jsonl``).
 
+``profile``, ``trace``, ``metrics`` and ``audit`` are views over one
+run path: each builds a :class:`~repro.harness.RunSpec` for its target
+(a FILE becomes an ad-hoc workload registered under its path) and runs
+it through :meth:`ExperimentRunner.run`, so every verb gets the
+baseline, semantic, Property-1, audit and certificate checks of an
+experiment cell, and then prints its view of the
+:class:`~repro.harness.RunResult`.
+
 All commands operate on deterministic simulated execution; see DESIGN.md.
 """
 
@@ -44,20 +53,18 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.adaptive import AdaptiveController
 from repro.analysis import (
     BUDGETS,
-    IncrementalCertifier,
-    Severity,
+    CostCertificate,
+    ReconcileVerdict,
     StrategyPlan,
     Suppressions,
-    audit_program,
     findings_document,
     plan_program,
-    reconcile,
-    reconcile_profile,
 )
 from repro.bytecode import disassemble_program
 from repro.errors import ReproError
@@ -75,9 +82,10 @@ from repro.harness import (
     table5,
 )
 from repro.harness.experiment import (
-    COMPACTION_MATRIX_STRATEGIES,
+    RunResult,
     RunSpec,
     make_instrumentations,
+    overhead_percent,
 )
 from repro.profiles import profile_summary
 from repro.profiling import (
@@ -85,27 +93,30 @@ from repro.profiling import (
     DEFAULT_NOISE_PCT,
     DEFAULT_WINDOW,
     LEDGER_FILENAME,
-    OverheadProfiler,
+    DecompositionReport,
     PerfLedger,
-    decompose,
     write_chrome_flame,
     write_collapsed,
     write_speedscope,
 )
-from repro.sampling import SamplingFramework, Strategy, make_trigger
+from repro.sampling import Strategy, transform_program
 from repro.telemetry import (
-    CompactingRecorder,
-    TelemetryRecorder,
     events_to_chrome_trace,
     events_to_jsonl,
+    inflate,
     quantile_from_buckets,
     records_to_compact_jsonl,
     write_chrome_trace,
     write_compact_jsonl,
     write_jsonl,
 )
-from repro.vm import VM, run_program
-from repro.workloads import all_workloads, get_workload
+from repro.vm import run_program
+from repro.workloads import (
+    all_workloads,
+    get_workload,
+    source_workload,
+    workload_names,
+)
 
 _TABLES = {
     "table1": lambda runner, scale: table1(runner, scale=scale),
@@ -178,73 +189,48 @@ def _safe_label(label: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in stem) or "profile"
 
 
+def _print_self_profile(payload) -> DecompositionReport:
+    """Print a cell's overhead decomposition and profiler sample bound
+    (:attr:`RunResult.profile`); returns the decomposition."""
+    report = DecompositionReport.from_dict(payload["decomposition"])
+    bound = ReconcileVerdict.from_dict(payload["bound"])
+    print()
+    print(report.render())
+    print(f"sample bound: {bound.summary()}")
+    return report
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
-    program, label = _compile_target(args, "profile")
-    base = run_program(program, fuel=args.fuel, engine=args.engine)
-
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
-    instrumentations = make_instrumentations(kinds)
-    strategy = _resolve_strategy(args.strategy)
-    framework = SamplingFramework(
-        strategy,
-        yieldpoint_opt=args.yieldpoint_opt,
-        sample_iterations=args.iterations,
+    runner, result = _run_cell(
+        args,
+        "profile need a FILE or --workload NAME",
+        profile=not args.no_self_profile,
+        profile_interval=args.profile_interval,
     )
-    transformed = framework.transform(program, instrumentations)
-
-    if strategy is Strategy.EXHAUSTIVE:
-        trigger = make_trigger("never")
-    else:
-        trigger = make_trigger(args.trigger, args.interval)
-    profiler = (
-        None
-        if args.no_self_profile
-        else OverheadProfiler(interval=args.profile_interval)
-    )
-    started = time.perf_counter()
-    result = run_program(
-        transformed,
-        trigger=trigger,
-        timer_period=args.timer_period,
-        fuel=args.fuel,
-        engine=args.engine,
-        profiler=profiler,
-    )
-    measured_wall = time.perf_counter() - started
-    if result.value != base.value:
-        print("error: transformed program diverged", file=sys.stderr)
-        return 1
-
-    overhead = 100.0 * (result.stats.cycles / base.stats.cycles - 1.0)
+    label = result.spec.workload
+    base = runner.baseline_cycles(label, result.spec.scale)
     print(
-        f"baseline {base.stats.cycles} cycles; instrumented "
-        f"{result.stats.cycles} cycles ({overhead:+.2f}%); "
+        f"baseline {base} cycles; instrumented {result.cycles} cycles "
+        f"({overhead_percent(base, result.cycles):+.2f}%); "
         f"{result.stats.samples_taken} samples"
     )
-    for instr in instrumentations:
+    for profile in result.profiles.values():
         print()
-        print(profile_summary(instr.profile, top_n=args.top))
-    if profiler is not None:
-        snapshot = profiler.snapshot()
-        verdict = reconcile_profile(snapshot)
-        report = decompose(snapshot, measured_wall=measured_wall)
-        print()
-        print(report.render())
-        print(f"sample bound: {verdict.summary()}")
-        stacks_out = args.stacks_out or f"{_safe_label(label)}.collapsed"
-        write_collapsed(snapshot["stacks"], stacks_out)
-        print(f"collapsed stacks -> {stacks_out}")
-        if args.speedscope_out:
-            write_speedscope(
-                snapshot["stacks"], args.speedscope_out, name=label
-            )
-            print(f"speedscope profile -> {args.speedscope_out}")
-        if args.flame_out:
-            write_chrome_flame(snapshot["stacks"], args.flame_out)
-            print(f"chrome flame trace -> {args.flame_out}")
-        if not verdict.ok or not report.reconciles():
-            return 1
-    return 0
+        print(profile_summary(profile, top_n=args.top))
+    if result.profile is None:
+        return 0
+    report = _print_self_profile(result.profile)
+    stacks = result.profile["snapshot"]["stacks"]
+    stacks_out = args.stacks_out or f"{_safe_label(label)}.collapsed"
+    write_collapsed(stacks, stacks_out)
+    print(f"collapsed stacks -> {stacks_out}")
+    if args.speedscope_out:
+        write_speedscope(stacks, args.speedscope_out, name=label)
+        print(f"speedscope profile -> {args.speedscope_out}")
+    if args.flame_out:
+        write_chrome_flame(stacks, args.flame_out)
+        print(f"chrome flame trace -> {args.flame_out}")
+    return 0 if report.reconciles() else 1
 
 
 def cmd_adaptive(args: argparse.Namespace) -> int:
@@ -335,63 +321,69 @@ def _resolve_strategy(name: str) -> Strategy:
         ) from None
 
 
-def _compile_target(args: argparse.Namespace, commands: str):
-    """Resolve FILE / --workload into (program, label)."""
+def _kinds(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The ``--instrument`` kinds, in order."""
+    return tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+
+
+def _targets(
+    args: argparse.Namespace, missing: str, suite: bool = False
+) -> List[str]:
+    """Workload names for the FILE / ``--workload NAME`` target, or the
+    whole suite for ``--workload all`` where *suite* allows it. A FILE
+    becomes an ad-hoc workload registered under its path (``-`` reads
+    stdin); *missing* is the error when neither is given."""
     if args.workload is not None:
-        workload = get_workload(args.workload)
-        return workload.compile(args.scale), workload.name
+        if suite and args.workload == "all":
+            return workload_names()
+        return [get_workload(args.workload).name]
     if args.file is not None:
-        return compile_baseline(_read_source(args.file)), args.file
-    raise ReproError(f"{commands} need a FILE or --workload NAME")
+        return [source_workload(args.file, _read_source(args.file)).name]
+    raise ReproError(missing)
 
 
-def _telemetry_run(args: argparse.Namespace, profiler=None):
-    """Shared backend for ``trace``, ``metrics`` and ``audit``: compile
-    the target, transform it per the requested strategy, and run it with
-    a :class:`TelemetryRecorder` attached. Dynamic targets (programs
-    with loadables) additionally get an :class:`IncrementalCertifier`
-    subscribed to the load/replace event stream. Returns (recorder,
-    result, label, transformed, strategy, measured_wall, certifier)."""
-    program, label = _compile_target(args, "trace/metrics")
+def _run_cell(
+    args: argparse.Namespace, missing: str, **options
+) -> Tuple[ExperimentRunner, RunResult]:
+    """Run the verb's target as one experiment cell.
 
+    The spec comes from the shared run flags; *options* configure the
+    :class:`ExperimentRunner` (observers). Exhaustive instrumentation
+    never samples, so its trigger is ``never``.
+    """
+    [workload] = _targets(args, missing)
     strategy = _resolve_strategy(args.strategy)
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
-    instrumentations = make_instrumentations(kinds)
-    framework = SamplingFramework(strategy)
-    transformed = framework.transform(program, instrumentations)
-
-    if strategy is Strategy.EXHAUSTIVE:
-        trigger = make_trigger("never")
-    else:
-        trigger = make_trigger(args.trigger, args.interval)
-    recorder = (
-        CompactingRecorder(capacity=args.capacity)
-        if getattr(args, "compact", False)
-        else TelemetryRecorder(capacity=args.capacity)
-    )
-    certifier = None
-    if transformed.is_dynamic():
-        certifier = IncrementalCertifier.from_program(
-            transformed, strategy=strategy.value, label=label
-        )
-    vm = VM(
-        transformed,
-        trigger=trigger,
+    spec = RunSpec(
+        workload=workload,
+        strategy=strategy,
+        instrumentation=_kinds(args),
+        trigger="never" if strategy is Strategy.EXHAUSTIVE else args.trigger,
+        interval=args.interval,
         timer_period=args.timer_period,
-        fuel=args.fuel,
-        engine=args.engine,
-        recorder=recorder,
-        profiler=profiler,
+        scale=args.scale,
+        # The randomized trigger's default seed, which these verbs have
+        # always sampled with (the harness would derive a per-cell one).
+        seed=0x5EED,
+        yieldpoint_opt=getattr(args, "yieldpoint_opt", False),
+        sample_iterations=getattr(args, "iterations", 1),
     )
-    if certifier is not None:
-        certifier.attach(vm)
-    started = time.perf_counter()
-    result = vm.run()
-    measured_wall = time.perf_counter() - started
-    # Ring/compaction state becomes metrics before anyone snapshots them.
-    recorder.sync_metrics()
-    return recorder, result, label, transformed, strategy, measured_wall, \
-        certifier
+    runner = ExperimentRunner(
+        fuel=args.fuel, engine=args.engine, ledger=False, **options
+    )
+    return runner, runner.run(spec)
+
+
+def _observed_cell(args: argparse.Namespace, **options) -> RunResult:
+    """One cell with the telemetry recorder attached (``trace``,
+    ``metrics`` and ``audit``)."""
+    _runner, result = _run_cell(
+        args,
+        "trace/metrics need a FILE or --workload NAME",
+        telemetry=True,
+        telemetry_capacity=args.capacity,
+        **options,
+    )
+    return result
 
 
 def _render_trace_stats(label, summary, stats) -> List[str]:
@@ -422,21 +414,15 @@ def _render_trace_stats(label, summary, stats) -> List[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.format == "compact":
-        # The compact codec encodes records; make sure we collect them.
-        args.compact = True
-    recorder, result, label, _transformed, _strategy, _wall, _certifier = (
-        _telemetry_run(args)
+    result = _observed_cell(
+        args, compaction=args.compact or args.format == "compact"
     )
-    # events() inflates compacted records, so every export format sees
-    # the exact stream a plain recorder would have retained.
-    events = recorder.events()
-    records = (
-        recorder.records()
-        if isinstance(recorder, CompactingRecorder)
-        else events
-    )
-    summary = recorder.summary()
+    label = result.spec.workload
+    # Inflating compacted records gives every export format the exact
+    # stream a plain recorder would have retained.
+    records = result.records
+    events = inflate(records)
+    summary = result.manifest.telemetry
     if args.stats:
         print("\n".join(_render_trace_stats(label, summary, result.stats)))
         if args.out is None:
@@ -483,34 +469,24 @@ def _quantile_suffix(payload) -> str:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    profiler = (
-        OverheadProfiler(interval=args.profile_interval)
-        if args.profile_vm
-        else None
+    result = _observed_cell(
+        args, profile=args.profile_vm, profile_interval=args.profile_interval
     )
-    recorder, result, label, transformed, strategy, measured_wall, \
-        certifier = _telemetry_run(args, profiler=profiler)
-    snapshot = recorder.metrics.snapshot()
-    report = audit_program(transformed, strategy=strategy.value, label=label)
-    if certifier is not None:
-        verdict = reconcile(certifier.dynamic_certificate(), result.stats)
-    elif report.certificate is not None:
-        verdict = reconcile(report.certificate, result.stats)
-    else:
-        verdict = None
+    manifest = result.manifest
+    snapshot = manifest.metrics
     if args.json:
         payload = dict(snapshot)
-        if profiler is not None:
+        if result.profile is not None:
             payload["vm.self_profile"] = {
                 "type": "profile",
-                "snapshot": profiler.snapshot(),
+                "snapshot": result.profile["snapshot"],
             }
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
-    print(f"{label}: {result.stats.cycles} cycles, "
+    print(f"{result.spec.workload}: {result.stats.cycles} cycles, "
           f"{result.stats.samples_taken} samples")
-    summary = recorder.summary()
+    summary = manifest.telemetry
     print(f"  ring: capacity={summary['capacity']} "
           f"retained={summary['events']} evicted={summary['dropped']} "
           f"events_lost={summary.get('dropped_events', summary['dropped'])}")
@@ -523,23 +499,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                   + _quantile_suffix(payload))
         else:
             print(f"  {key}  {payload['value']}")
-    print(f"  audit: {report.summary()}")
-    if report.certificate is not None:
-        cert = report.certificate
-        print(f"  certificate: {cert.static_checks} static check(s), "
-              f"{cert.guarded_sites} guarded site(s); {cert.formula}")
-    if verdict is not None:
-        print(f"  reconcile: {verdict.summary()}")
-    if certifier is not None:
-        print(f"  incremental: {certifier.loads} load(s), "
-              f"{certifier.replaces} replace(s), "
-              f"{'ok' if certifier.ok else 'FAILED'}")
-    if profiler is not None:
-        prof_snapshot = profiler.snapshot()
-        prof_verdict = reconcile_profile(prof_snapshot)
-        print()
-        print(decompose(prof_snapshot, measured_wall=measured_wall).render())
-        print(f"sample bound: {prof_verdict.summary()}")
+    cert = result.audit.certificate
+    print(f"  audit: {result.audit.summary()}")
+    print(f"  certificate: {cert.static_checks} static check(s), "
+          f"{cert.guarded_sites} guarded site(s); {cert.formula}")
+    verdict = ReconcileVerdict.from_dict(manifest.analysis["verdict"])
+    print(f"  reconcile: {verdict.summary()}")
+    incremental = manifest.analysis["incremental"]
+    if incremental is not None:
+        print(f"  incremental: {incremental['loads']} load(s), "
+              f"{incremental['replaces']} replace(s), "
+              f"{'ok' if incremental['ok'] else 'FAILED'}")
+    if result.profile is not None:
+        _print_self_profile(result.profile)
     return 0
 
 
@@ -638,47 +610,27 @@ def cmd_watch(args: argparse.Namespace) -> int:
 def cmd_compact(args: argparse.Namespace) -> int:
     """Measure trace compaction: byte reduction + §4.4 overlap accuracy,
     per cell, with CI-gateable thresholds."""
-    from dataclasses import replace
-
     runner = ExperimentRunner(
         telemetry=True, compaction=True, engine=args.engine, jobs=args.jobs,
         telemetry_capacity=args.capacity,
     )
-    instrumentation = tuple(
-        k.strip() for k in args.instrument.split(",") if k.strip()
-    )
     if args.matrix:
-        workloads = [w.name for w in all_workloads()]
-        strategies = list(COMPACTION_MATRIX_STRATEGIES)
+        workloads, strategies = None, None
     elif args.workload is not None:
         workloads = [args.workload]
         strategies = [_resolve_strategy(args.strategy)]
     else:
         raise ReproError("compact needs --workload NAME or --matrix")
-    specs = [
-        RunSpec(
-            workload=workload,
-            strategy=strategy,
-            instrumentation=instrumentation,
-            trigger="counter",
-            interval=args.interval,
-            scale=args.scale,
-        )
-        for workload in workloads
-        for strategy in strategies
-    ]
-    # Warm the memo in parallel (each accuracy cell needs its sampled
-    # run and its perfect-interval twin).
-    runner.prefetch(
-        specs
-        + [replace(s, interval=args.perfect_interval) for s in specs]
+    reports = runner.compaction_matrix(
+        workloads,
+        strategies,
+        instrumentation=_kinds(args),
+        interval=args.interval,
+        scale=args.scale,
+        perfect_interval=args.perfect_interval,
     )
     failed = 0
-    reports = []
-    for spec in specs:
-        report = runner.compaction_accuracy(
-            spec, perfect_interval=args.perfect_interval
-        )
+    for report in reports:
         problems = []
         if not report["roundtrip_ok"]:
             problems.append("roundtrip")
@@ -691,7 +643,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
         report["ok"] = not problems
         report["failures"] = problems
         failed += bool(problems)
-        reports.append(report)
     document = {
         "interval": args.interval,
         "perfect_interval": args.perfect_interval,
@@ -728,30 +679,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _lint_cells(args: argparse.Namespace):
-    """Yield (label, strategy, program) lint targets from the CLI args."""
-    strategies = [
-        _resolve_strategy(s.strip())
-        for s in args.strategy.split(",")
-        if s.strip()
-    ]
-    if not strategies:
-        raise ReproError("lint needs at least one --strategy")
-    if args.workload is not None:
-        if args.workload == "all":
-            targets = [(w.name, w.compile(args.scale)) for w in all_workloads()]
-        else:
-            workload = get_workload(args.workload)
-            targets = [(workload.name, workload.compile(args.scale))]
-    elif args.file is not None:
-        targets = [(args.file, compile_baseline(_read_source(args.file)))]
-    else:
-        raise ReproError("lint needs a FILE or --workload NAME|all")
-    for label, program in targets:
-        for strategy in strategies:
-            yield label, strategy, program
-
-
 def _wants_json(args: argparse.Namespace) -> bool:
     """``--format json`` or the legacy ``--json`` alias."""
     return bool(getattr(args, "json", False)) or (
@@ -763,22 +690,36 @@ def cmd_lint(args: argparse.Namespace) -> int:
     suppressions = (
         Suppressions.parse(args.suppress) if args.suppress else None
     )
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    strategies = [
+        _resolve_strategy(s.strip())
+        for s in args.strategy.split(",")
+        if s.strip()
+    ]
+    if not strategies:
+        raise ReproError("lint needs at least one --strategy")
+    # The one verb that audits outside a run: every other verb reads
+    # its cell's audit from the RunResult.
+    from repro.analysis import audit_program
+
+    kinds = _kinds(args)
     reports = []
-    for label, strategy, program in _lint_cells(args):
-        framework = SamplingFramework(strategy)
-        transformed = framework.transform(
-            program, make_instrumentations(kinds)
-        )
-        reports.append(
-            audit_program(
-                transformed,
-                strategy=strategy.value,
-                suppressions=suppressions,
-                label=f"{label}/{strategy.value}",
-                program_rules=True,
+    for name in _targets(
+        args, "lint needs a FILE or --workload NAME|all", suite=True
+    ):
+        program = get_workload(name).compile(args.scale)
+        for strategy in strategies:
+            transformed = transform_program(
+                program, make_instrumentations(kinds), strategy
             )
-        )
+            reports.append(
+                audit_program(
+                    transformed,
+                    strategy=strategy.value,
+                    suppressions=suppressions,
+                    label=f"{name}/{strategy.value}",
+                    program_rules=True,
+                )
+            )
     findings = [f for report in reports for f in report.findings]
     document = findings_document(
         "lint",
@@ -798,36 +739,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    recorder, result, label, transformed, strategy, _wall, certifier = (
-        _telemetry_run(args)
-    )
-    report = audit_program(
-        transformed, strategy=strategy.value, label=label,
-        program_rules=True,
-    )
-    if certifier is not None:
-        # Dynamic target: validate against the incrementally maintained
-        # certificate — loaded code may carry checks the pre-run audit
-        # never saw.
-        verdict = reconcile(certifier.dynamic_certificate(), result.stats)
-    else:
-        verdict = reconcile(report.certificate, result.stats)
+    result = _observed_cell(args)
+    analysis = result.manifest.analysis
+    report = replace(result.audit, label=result.spec.workload)
+    incremental = analysis["incremental"]
     payload = {
         "report": report.as_dict(),
-        "verdict": verdict.as_dict(),
+        "verdict": analysis["verdict"],
         "stats": result.stats.as_dict(),
-        "incremental": (
-            certifier.as_dict() if certifier is not None else None
-        ),
+        "incremental": incremental,
     }
-    extra_failures = int(not verdict.ok)
-    if certifier is not None and not certifier.ok:
-        extra_failures += 1
     document = findings_document(
-        "audit",
-        report.findings,
-        reports=[payload],
-        extra_failures=extra_failures,
+        "audit", report.findings, reports=[payload]
     )
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -841,28 +764,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
         cert = report.certificate
         print(f"certificate: {cert.static_checks} static check(s), "
               f"{cert.guarded_sites} guarded site(s); {cert.formula}")
-        if certifier is not None:
-            dyn = certifier.dynamic_certificate()
-            print(f"incremental: {certifier.loads} load(s), "
-                  f"{certifier.replaces} replace(s), "
-                  f"{len(certifier.events)} event(s), "
-                  f"{'ok' if certifier.ok else 'FAILED'}; {dyn.formula}")
+        if incremental is not None:
+            dyn = CostCertificate.from_dict(
+                incremental["dynamic_certificate"]
+            )
+            print(f"incremental: {incremental['loads']} load(s), "
+                  f"{incremental['replaces']} replace(s), "
+                  f"{len(incremental['events'])} event(s), "
+                  f"{'ok' if incremental['ok'] else 'FAILED'}; "
+                  f"{dyn.formula}")
+        verdict = ReconcileVerdict.from_dict(analysis["verdict"])
         print(f"reconcile: {verdict.summary()}")
         if args.out is not None:
             print(f"wrote {args.out}")
     return 0 if document["ok"] else 1
-
-
-def _plan_targets(args: argparse.Namespace):
-    """Resolve (label, program) planning targets from the CLI args."""
-    if args.workload is not None:
-        if args.workload == "all":
-            return [(w.name, w.compile(args.scale)) for w in all_workloads()]
-        workload = get_workload(args.workload)
-        return [(workload.name, workload.compile(args.scale))]
-    if args.file is not None:
-        return [(args.file, compile_baseline(_read_source(args.file)))]
-    raise ReproError("plan needs a FILE or --workload NAME|all")
 
 
 def _previous_plans(path: str):
@@ -882,16 +797,18 @@ def _previous_plans(path: str):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    kinds = _kinds(args)
     plans = [
         plan_program(
-            program,
+            get_workload(name).compile(args.scale),
             instrumentation=kinds,
             budget=args.budget,
             interval=args.interval,
-            label=label,
+            label=name,
         )
-        for label, program in _plan_targets(args)
+        for name in _targets(
+            args, "plan needs a FILE or --workload NAME|all", suite=True
+        )
     ]
     previous = _previous_plans(args.diff) if args.diff else None
     reports = []

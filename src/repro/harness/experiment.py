@@ -1,10 +1,11 @@
 """Experiment runner: one place that composes workloads, instrumentation,
 sampling strategies, triggers and the VM into measured runs.
 
-Every benchmark in ``benchmarks/`` and every table generator in
-:mod:`repro.harness.tables` goes through :class:`ExperimentRunner`, so
-they all share baseline caching, semantic-preservation tripwires, and
-Property-1 verification.
+Every benchmark in ``benchmarks/``, every table generator in
+:mod:`repro.harness.tables` and every CLI verb that runs an instrumented
+program goes through :class:`ExperimentRunner`, so they all share
+baseline caching and the always-on tripwires: semantic preservation,
+Property 1, the static audit and the cost-certificate reconciliation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.analysis import (
     IncrementalCertifier,
     Severity,
     audit_program,
+    property1_vs_baseline,
     reconcile,
     reconcile_plan,
     reconcile_profile,
@@ -60,7 +62,6 @@ from repro.profiling.profiler import (
     merge_snapshots,
 )
 from repro.sampling.framework import SamplingFramework, Strategy, TransformReport
-from repro.sampling.properties import property1_vs_baseline
 from repro.sampling.triggers import make_trigger
 from repro.profiles.overlap import overlap_percentage
 from repro.telemetry.compaction import (
@@ -81,7 +82,7 @@ from repro.vm.cost_model import CostModel
 from repro.vm.engine import resolve_engine
 from repro.vm.interpreter import VM, VMResult
 from repro.vm.tracing import ExecStats
-from repro.workloads.suite import Workload, get_workload
+from repro.workloads.suite import Workload, get_workload, workload_names
 
 #: Default instruction budget for experiment runs.
 DEFAULT_FUEL = 100_000_000
@@ -138,6 +139,9 @@ class RunSpec:
     #: under the per-function stamps, and reconciled per function
     #: (:func:`~repro.analysis.reconcile.reconcile_plan`).
     plan: Optional[Tuple[Tuple[str, str], ...]] = None
+    #: consecutive loop iterations per sample (counted backedges;
+    #: Full-Duplication only) — ``repro profile --iterations``
+    sample_iterations: int = 1
 
     def family_key(self) -> Tuple[object, ...]:
         """The cell family: every field that shapes the transformed
@@ -152,6 +156,7 @@ class RunSpec:
             self.instrumentation,
             self.yieldpoint_opt,
             self.plan,
+            self.sample_iterations,
         )
 
     def describe(self) -> str:
@@ -183,7 +188,7 @@ class RunResult:
     #: family reports the same figure; Table 2's ``xform ms`` column)
     transform_seconds: float = 0.0
     code_bytes: int = 0
-    #: static audit of the transformed program (None with auditing off)
+    #: static audit of the transformed program, under the cell's label
     audit: Optional[AuditReport] = None
     #: provenance document when the runner has telemetry enabled
     #: (picklable, so pool workers ship it back with the result)
@@ -194,8 +199,8 @@ class RunResult:
     #: self-profiling payload when the runner has profiling enabled:
     #: {"snapshot", "decomposition", "bound"} — plain dicts, picklable
     profile: Optional[Dict[str, object]] = None
-    #: retained (compacted) telemetry stream when the runner has
-    #: compaction enabled — a tuple of Events and SuppressedRuns;
+    #: retained telemetry stream when the runner has telemetry enabled
+    #: — a tuple of Events, plus SuppressedRuns with compaction on;
     #: NamedTuples, so pool workers ship it back with the result
     records: Optional[Tuple[Record, ...]] = None
     #: path of the cell's live-export spool directory when the runner
@@ -214,7 +219,7 @@ class _Family:
     report: Optional[TransformReport]
     seconds: float
     code_bytes: int
-    audit: Optional[AuditReport]
+    audit: AuditReport
 
 
 @dataclass
@@ -240,17 +245,6 @@ class ExperimentRunner:
         cost_model: shared cycle model (one per runner so baselines and
             variants are comparable).
         fuel: interpreter instruction budget per run.
-        check_semantics: verify each transformed run computes the
-            baseline's value and output (cheap, catches transform bugs).
-        check_property1: verify Property 1 for duplication strategies
-            against the baseline run.
-        audit: run the static auditor (:mod:`repro.analysis`) over every
-            transformed program and reconcile each run's counters
-            against the derived cost certificate. Error-severity
-            findings and reconciliation violations raise
-            :class:`HarnessError`; the report and verdict ride on
-            :attr:`RunResult.audit` and (with telemetry on) in the
-            manifest's ``analysis`` section.
         cache: persistent baseline cache — a :class:`BaselineCache`, a
             directory path, True for the default directory, False to
             disable. The default (None) enables the cache only when
@@ -264,17 +258,19 @@ class ExperimentRunner:
             engines produce bit-identical results, so the choice never
             appears in cache keys.
         telemetry: attach a :class:`TelemetryRecorder` to every
-            configured run and emit a :class:`RunManifest` per computed
-            cell (collected in :attr:`manifests`, including cells
-            computed by pool workers). Telemetry never changes a cell's
+            configured run, keep its retained stream on
+            :attr:`RunResult.records`, and emit a :class:`RunManifest`
+            per computed cell (collected in :attr:`manifests`, including
+            cells computed by pool workers). Telemetry never changes a cell's
             ExecStats/profiles — the differential test in
             tests/test_telemetry.py pins this on every workload.
         telemetry_capacity: per-run flight-recorder ring size.
         compaction: (with telemetry on) attach a
             :class:`~repro.telemetry.compaction.CompactingRecorder`
             instead of a plain recorder: runs of identical events
-            collapse into suppression windows, the retained stream rides
-            on :attr:`RunResult.records`, and every cell's manifest
+            collapse into suppression windows (so
+            :attr:`RunResult.records` mixes events and windows), and
+            every cell's manifest
             carries ``vm.telemetry.compaction.*`` metrics. The inflated
             stream is bit-equal to what a plain recorder retains, so no
             downstream consumer changes (docs/OBSERVABILITY.md).
@@ -306,6 +302,15 @@ class ExperimentRunner:
             bit-identical to a non-streaming context-keyed run —
             pinned by tests/test_streaming.py.
 
+    Every run is checked, with no switch to turn the checks off: it
+    must compute the baseline's value and output, duplicating
+    strategies must satisfy Property 1 against the baseline run, the
+    static auditor (:mod:`repro.analysis`) must pass the transformed
+    program, and the run's counters must reconcile against the derived
+    cost certificate. A failed check raises :class:`HarnessError`; the
+    audit rides on :attr:`RunResult.audit` and, with telemetry on, the
+    audit and verdict ride in the manifest's ``analysis`` section.
+
     The runner always keeps a :class:`MetricsRegistry` in
     :attr:`metrics` — harness-level counters (baseline-cache traffic,
     including deltas reported back by pool workers) are recorded there
@@ -317,9 +322,6 @@ class ExperimentRunner:
         self,
         cost_model: Optional[CostModel] = None,
         fuel: int = DEFAULT_FUEL,
-        check_semantics: bool = True,
-        check_property1: bool = True,
-        audit: bool = True,
         cache: Union[BaselineCache, str, bool, None] = None,
         jobs: Optional[int] = None,
         engine: Optional[str] = None,
@@ -334,9 +336,6 @@ class ExperimentRunner:
     ):
         self.cost_model = cost_model or CostModel()
         self.fuel = fuel
-        self.check_semantics = check_semantics
-        self.check_property1 = check_property1
-        self.audit = bool(audit)
         self.baseline_cache = _resolve_cache(cache)
         self.jobs = jobs
         self.engine = resolve_engine(engine)
@@ -540,7 +539,9 @@ class ExperimentRunner:
         """Instrument, transform, verify and audit one family's program."""
         instrumentations = make_instrumentations(spec.instrumentation)
         framework = SamplingFramework(
-            spec.strategy, yieldpoint_opt=spec.yieldpoint_opt
+            spec.strategy,
+            yieldpoint_opt=spec.yieldpoint_opt,
+            sample_iterations=spec.sample_iterations,
         )
         checks_only = spec.strategy in (
             Strategy.CHECKS_ONLY_ENTRY,
@@ -567,18 +568,16 @@ class ExperimentRunner:
         seconds = time.perf_counter() - t0
         self.metrics.counter("harness.transform.families").inc()
 
-        audit_report: Optional[AuditReport] = None
-        if self.audit:
-            audit_report = audit_program(
-                transformed,
-                strategy=_expected_strategy(spec),
-                label=spec.describe(),
+        audit_report = audit_program(
+            transformed,
+            strategy=_expected_strategy(spec),
+            label=spec.describe(),
+        )
+        if not audit_report.ok:
+            raise HarnessError(
+                f"{spec.describe()}: static audit failed\n"
+                + audit_report.render()
             )
-            if not audit_report.ok:
-                raise HarnessError(
-                    f"{spec.describe()}: static audit failed\n"
-                    + audit_report.render()
-                )
         return _Family(
             instrumentations=instrumentations,
             program=transformed,
@@ -601,14 +600,12 @@ class ExperimentRunner:
         family = self._family(spec, program, families)
         transformed = family.program
 
-        audit_report: Optional[AuditReport] = None
-        if family.audit is not None:
-            audit_report = _relabeled(family.audit, spec.describe())
-            self.metrics.counter("harness.audit.cells").inc()
-            if audit_report.findings:
-                self.metrics.counter("harness.audit.findings").inc(
-                    len(audit_report.findings)
-                )
+        audit_report = _relabeled(family.audit, spec.describe())
+        self.metrics.counter("harness.audit.cells").inc()
+        if audit_report.findings:
+            self.metrics.counter("harness.audit.findings").inc(
+                len(audit_report.findings)
+            )
 
         # Dynamic programs change their function table mid-run, so the
         # pre-run certificate stops describing the executed code: an
@@ -616,7 +613,7 @@ class ExperimentRunner:
         # its load event and maintains the certificate by deltas,
         # starting from the family audit's per-function bounds.
         certifier: Optional[IncrementalCertifier] = None
-        if audit_report is not None and transformed.is_dynamic():
+        if transformed.is_dynamic():
             certifier = IncrementalCertifier.from_certificate(
                 audit_report.certificate,
                 strategy=_expected_strategy(spec),
@@ -683,14 +680,13 @@ class ExperimentRunner:
         result = vm.run()
         vm_seconds = time.perf_counter() - vm_started
 
-        if self.check_semantics:
-            if result.value != base_result.value or (
-                result.output != base_result.output
-            ):
-                raise HarnessError(
-                    f"{spec.describe()}: transformed program diverged "
-                    f"(value {result.value} vs {base_result.value})"
-                )
+        if result.value != base_result.value or (
+            result.output != base_result.output
+        ):
+            raise HarnessError(
+                f"{spec.describe()}: transformed program diverged "
+                f"(value {result.value} vs {base_result.value})"
+            )
         duplicating = spec.strategy in (
             Strategy.FULL_DUPLICATION,
             Strategy.PARTIAL_DUPLICATION,
@@ -704,14 +700,14 @@ class ExperimentRunner:
                 )
                 for _, value in spec.plan
             )
-        if self.check_property1 and duplicating:
-            if not property1_vs_baseline(result.stats, base_result.stats):
-                raise HarnessError(
-                    f"{spec.describe()}: Property 1 violated "
-                    f"(checks={result.stats.checks_executed}, "
-                    f"bound={base_result.stats.check_opportunities})"
-                )
-        verdict = None
+        if duplicating and not property1_vs_baseline(
+            result.stats, base_result.stats
+        ):
+            raise HarnessError(
+                f"{spec.describe()}: Property 1 violated "
+                f"(checks={result.stats.checks_executed}, "
+                f"bound={base_result.stats.check_opportunities})"
+            )
         # Planned (mixed-strategy) runs reconcile per function: with
         # telemetry on, each function's measured check count is held to
         # its own certified bound (a no-duplication function must never
@@ -722,48 +718,36 @@ class ExperimentRunner:
             if spec.plan is not None and recorder is not None
             else None
         )
-        if certifier is not None:
-            # Dynamic programs are reconciled against the incrementally
-            # maintained certificate: code loaded mid-run can introduce
-            # checks the pre-run (static) certificate never promised.
-            if not certifier.ok:
-                raise HarnessError(
-                    f"{spec.describe()}: dynamically loaded code failed "
-                    f"its audit ({certifier.loads} load(s), "
-                    f"{certifier.replaces} replace(s))"
-                )
-            certificate = certifier.dynamic_certificate()
-            verdict = (
-                reconcile_plan(certificate, result.stats, plan_metrics)
-                if spec.plan is not None
-                else reconcile(certificate, result.stats)
+        # Dynamic programs are reconciled against the incrementally
+        # maintained certificate: code loaded mid-run can introduce
+        # checks the pre-run (static) certificate never promised.
+        if certifier is not None and not certifier.ok:
+            raise HarnessError(
+                f"{spec.describe()}: dynamically loaded code failed "
+                f"its audit ({certifier.loads} load(s), "
+                f"{certifier.replaces} replace(s))"
             )
-            self.metrics.counter("harness.audit.reconciled").inc()
-            if not verdict.ok:
-                self.metrics.counter(
-                    "harness.audit.reconcile_violations"
-                ).inc(len(verdict.violations))
-                raise HarnessError(
-                    f"{spec.describe()}: run contradicts its incremental "
-                    f"cost certificate: " + "; ".join(verdict.violations)
-                )
-        elif audit_report is not None and audit_report.certificate is not None:
-            verdict = (
-                reconcile_plan(
-                    audit_report.certificate, result.stats, plan_metrics
-                )
-                if spec.plan is not None
-                else reconcile(audit_report.certificate, result.stats)
+        certificate = (
+            certifier.dynamic_certificate()
+            if certifier is not None
+            else audit_report.certificate
+        )
+        verdict = (
+            reconcile_plan(certificate, result.stats, plan_metrics)
+            if spec.plan is not None
+            else reconcile(certificate, result.stats)
+        )
+        self.metrics.counter("harness.audit.reconciled").inc()
+        if not verdict.ok:
+            self.metrics.counter(
+                "harness.audit.reconcile_violations"
+            ).inc(len(verdict.violations))
+            raise HarnessError(
+                f"{spec.describe()}: run contradicts its "
+                + ("incremental " if certifier is not None else "")
+                + "cost certificate: "
+                + "; ".join(verdict.violations)
             )
-            self.metrics.counter("harness.audit.reconciled").inc()
-            if not verdict.ok:
-                self.metrics.counter(
-                    "harness.audit.reconcile_violations"
-                ).inc(len(verdict.violations))
-                raise HarnessError(
-                    f"{spec.describe()}: run contradicts its cost "
-                    f"certificate: " + "; ".join(verdict.violations)
-                )
 
         profile_payload: Optional[Dict[str, object]] = None
         if profiler is not None:
@@ -814,8 +798,7 @@ class ExperimentRunner:
                 recorder.close()
                 run_result.spool = str(recorder.writer.path)
                 self.metrics.counter("harness.stream.cells").inc()
-            if isinstance(recorder, CompactingRecorder):
-                run_result.records = recorder.records()
+            run_result.records = recorder.records()
             run_result.manifest = RunManifest(
                 spec=spec_as_dict(spec),
                 engine=self.engine,
@@ -828,28 +811,16 @@ class ExperimentRunner:
                 metrics=recorder.metrics.snapshot(),
                 telemetry=recorder.summary(),
                 source="serial",
-                analysis=(
-                    {
-                        "ok": audit_report.ok,
-                        "errors": audit_report.count(Severity.ERROR),
-                        "warnings": audit_report.count(Severity.WARNING),
-                        "certificate": (
-                            audit_report.certificate.as_dict()
-                            if audit_report.certificate is not None
-                            else None
-                        ),
-                        "verdict": (
-                            verdict.as_dict() if verdict is not None else None
-                        ),
-                        "incremental": (
-                            certifier.as_dict()
-                            if certifier is not None
-                            else None
-                        ),
-                    }
-                    if audit_report is not None
-                    else {}
-                ),
+                analysis={
+                    "ok": audit_report.ok,
+                    "errors": audit_report.count(Severity.ERROR),
+                    "warnings": audit_report.count(Severity.WARNING),
+                    "certificate": audit_report.certificate.as_dict(),
+                    "verdict": verdict.as_dict(),
+                    "incremental": (
+                        certifier.as_dict() if certifier is not None else None
+                    ),
+                },
                 profiling=profile_payload or {},
                 plan=_plan_section(spec),
             )
@@ -1138,29 +1109,33 @@ class ExperimentRunner:
         scale: Optional[int] = None,
         perfect_interval: int = 1,
     ) -> List[Dict[str, object]]:
-        """The workload × duplication-strategy accuracy matrix: one
-        :meth:`compaction_accuracy` report per cell, full suite by
-        default."""
+        """The workload × strategy accuracy matrix: one
+        :meth:`compaction_accuracy` report per cell, full suite and
+        :data:`COMPACTION_MATRIX_STRATEGIES` by default. Every cell and
+        its perfect-interval twin are prefetched in one batch (in
+        parallel when the runner has jobs)."""
         if workloads is None:
-            from repro.workloads import all_workloads
-
-            workloads = [w.name for w in all_workloads()]
+            workloads = workload_names()
         if strategies is None:
             strategies = COMPACTION_MATRIX_STRATEGIES
-        return [
-            self.compaction_accuracy(
-                RunSpec(
-                    workload=name,
-                    strategy=strategy,
-                    instrumentation=instrumentation,
-                    trigger="counter",
-                    interval=interval,
-                    scale=scale,
-                ),
-                perfect_interval=perfect_interval,
+        specs = [
+            RunSpec(
+                workload=name,
+                strategy=strategy,
+                instrumentation=instrumentation,
+                trigger="counter",
+                interval=interval,
+                scale=scale,
             )
             for name in workloads
             for strategy in strategies
+        ]
+        self.prefetch(
+            specs + [replace(s, interval=perfect_interval) for s in specs]
+        )
+        return [
+            self.compaction_accuracy(spec, perfect_interval=perfect_interval)
+            for spec in specs
         ]
 
 

@@ -7,8 +7,8 @@ that :meth:`repro.harness.ExperimentRunner.run_many` fans cells out
 over:
 
 * each worker process builds its own :class:`ExperimentRunner` from a
-  picklable :class:`RunnerConfig` (cost model, fuel, tripwire flags,
-  cache directory) in its initializer, so per-workload compilation and
+  picklable :class:`RunnerConfig` (cost model, fuel, cache directory,
+  observers) in its initializer, so per-workload compilation and
   baseline execution happen at most once per worker — or once *ever*
   when a persistent baseline cache directory is shared;
 * cells are dispatched one *cell family* per task (``chunksize=1``;
@@ -85,10 +85,16 @@ def cell_seed(spec: "RunSpec") -> int:
             str(spec.phase),
             str(spec.yieldpoint_opt),
         ]
-        # Planned cells mix per-function strategies, so the assignment
-        # is part of the cell's identity; planless specs keep their
+        # Planned cells mix per-function strategies, and counted
+        # backedges change the transformed program, so both are part
+        # of the cell's identity; specs at their defaults keep their
         # historical seeds.
         + ([str(spec.plan)] if spec.plan is not None else [])
+        + (
+            [f"iterations={spec.sample_iterations}"]
+            if spec.sample_iterations != 1
+            else []
+        )
     )
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
@@ -104,9 +110,6 @@ class RunnerConfig:
 
     cost_model: CostModel
     fuel: int
-    check_semantics: bool
-    check_property1: bool
-    audit: bool = True
     cache_dir: Optional[str] = None
     engine: str = "fast"
     telemetry: bool = False
@@ -129,9 +132,6 @@ class RunnerConfig:
         return cls(
             cost_model=runner.cost_model,
             fuel=runner.fuel,
-            check_semantics=runner.check_semantics,
-            check_property1=runner.check_property1,
-            audit=runner.audit,
             cache_dir=str(cache.directory) if cache is not None else None,
             engine=runner.engine,
             telemetry=runner.telemetry,
@@ -148,9 +148,6 @@ class RunnerConfig:
         return ExperimentRunner(
             cost_model=self.cost_model,
             fuel=self.fuel,
-            check_semantics=self.check_semantics,
-            check_property1=self.check_property1,
-            audit=self.audit,
             cache=self.cache_dir if self.cache_dir is not None else False,
             jobs=1,
             engine=self.engine,

@@ -24,13 +24,6 @@ from repro.sampling.partial_duplication import (
     PartialDuplicationStats,
     partial_duplicate,
 )
-from repro.sampling.properties import (
-    StaticCheckReport,
-    check_budget,
-    checking_code_blocks,
-    property1_dynamic,
-    verify_check_placement,
-)
 from repro.sampling.triggers import (
     BurstTrigger,
     CounterTrigger,
@@ -75,9 +68,4 @@ __all__ = [
     "insert_yieldpoints",
     "insert_yieldpoints_cfg",
     "count_yieldpoints",
-    "verify_check_placement",
-    "checking_code_blocks",
-    "StaticCheckReport",
-    "property1_dynamic",
-    "check_budget",
 ]

@@ -44,9 +44,8 @@ from repro.errors import TransformError
 @dataclass
 class DuplicationResult:
     """Bookkeeping from a duplication transform, consumed by
-    Partial-Duplication, the verifier in
-    :mod:`repro.sampling.properties`, and the linearizer (cold
-    placement of duplicated code)."""
+    Partial-Duplication and the linearizer (cold placement of
+    duplicated code)."""
 
     cfg: CFG
     #: original (checking) block id -> duplicated block id

@@ -254,6 +254,11 @@ class TelemetryRecorder(NullRecorder):
         """The retained stream, oldest first."""
         return tuple(self.ring)
 
+    def records(self) -> Tuple[Event, ...]:
+        """The retained stream as stored: plain events here; the
+        compacting recorder's records also hold suppression windows."""
+        return self.events()
+
     def summary(self) -> Dict[str, Any]:
         summary = {
             "active": True,

@@ -8,6 +8,7 @@ from repro.workloads.suite import (
     paper_workload_names,
     prepare_baseline,
     register,
+    source_workload,
     workload_names,
 )
 
@@ -17,6 +18,7 @@ __all__ = [
     "get_workload",
     "paper_workload_names",
     "prepare_baseline",
+    "source_workload",
     "workload_names",
     "all_workloads",
 ]

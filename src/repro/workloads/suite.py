@@ -60,7 +60,7 @@ class Workload:
         actual = self.default_scale if scale is None else scale
         if actual < 1:
             raise HarnessError(f"{self.name}: scale must be >= 1")
-        return _compile_cached(self.name, actual).copy()
+        return _compile_cached(self, actual).copy()
 
 
 _REGISTRY: Dict[str, Workload] = {}
@@ -70,6 +70,29 @@ def register(workload: Workload) -> Workload:
     if workload.name in _REGISTRY:
         raise HarnessError(f"duplicate workload {workload.name!r}")
     _REGISTRY[workload.name] = workload
+    return workload
+
+
+def source_workload(label: str, source: str) -> Workload:
+    """An ad-hoc workload for MiniJ *source*, registered under *label*
+    (a file path, or ``-`` for stdin), so a FILE target runs through
+    the same machinery as a suite member.
+
+    Registering the same label with the same text again returns the
+    registered workload. Different text replaces it, and the compile
+    cache is keyed on the workload's content, so the new text is
+    compiled. Suite members cannot be shadowed.
+    """
+    if label in workload_names():
+        raise HarnessError(f"{label!r} names a suite workload")
+    existing = _REGISTRY.get(label)
+    if existing is not None and existing.source == source:
+        return existing
+    workload = Workload(
+        name=label, paper_name=label, description="MiniJ source",
+        source=source,
+    )
+    _REGISTRY[label] = workload
     return workload
 
 
@@ -143,8 +166,7 @@ def prepare_baseline(program: Program) -> Program:
 
 
 @lru_cache(maxsize=None)
-def _compile_cached(name: str, scale: int) -> Program:
-    workload = get_workload(name)
+def _compile_cached(workload: Workload, scale: int) -> Program:
     if workload.builder is not None:
         return prepare_baseline(workload.builder(scale))
     return compile_baseline(

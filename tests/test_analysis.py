@@ -695,15 +695,6 @@ class TestHarnessIntegration:
         # The archived manifest re-validates offline.
         assert reconcile_manifest(loaded).ok
 
-    def test_audit_off_leaves_result_and_manifest_clean(self):
-        runner = ExperimentRunner(telemetry=True, audit=False)
-        result = runner.run(
-            RunSpec("compress", Strategy.FULL_DUPLICATION,
-                    ("call-edge",), trigger="counter", interval=37)
-        )
-        assert result.audit is None
-        assert result.manifest.analysis == {}
-
     def test_failed_audit_is_a_harness_error(self, monkeypatch):
         import repro.harness.experiment as exp
 

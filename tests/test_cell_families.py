@@ -185,3 +185,25 @@ def test_pool_agrees_with_serial(batch_results):
         runner.metrics.counter("harness.transform.families").value
         == len(FAMILIES)
     )
+
+
+def test_sample_iterations_is_part_of_the_family():
+    """Counted backedges change the transformed program, so they split
+    families; at the default (1) every cell keeps its historical seed."""
+    from dataclasses import replace
+
+    from repro.harness.parallel import cell_seed
+
+    spec = RunSpec("compress", FULL, ("block-count",), trigger="counter",
+                   interval=7, scale=1)
+    counted = replace(spec, sample_iterations=4)
+    assert counted.family_key() != spec.family_key()
+    assert cell_seed(counted) != cell_seed(spec)
+    assert cell_seed(spec) == 0x9D6AE25B  # the seed before the field
+    runner = ExperimentRunner(cache=False)
+    plain, looped = runner.run_many([spec, counted], jobs=1)
+    assert looped.value == plain.value
+    # a sample stays in duplicated code for 4 loop iterations, so the
+    # run passes fewer checks than the uncounted transform
+    assert looped.stats.checks_executed < plain.stats.checks_executed
+

@@ -121,6 +121,41 @@ class TestProfile:
         assert "unknown instrumentation" in capsys.readouterr().err
 
 
+class TestFileTargets:
+    """A FILE target runs as an ad-hoc workload registered under its
+    path label."""
+
+    @staticmethod
+    def _baseline_cycles(path, capsys):
+        assert main(["profile", path, "--no-self-profile"]) == 0
+        first = capsys.readouterr().out.split("\n", 1)[0]
+        return int(first.split()[1])
+
+    def test_same_label_same_text_reuses_the_workload(self, demo_file):
+        from repro.workloads import source_workload
+
+        first = source_workload(demo_file, DEMO)
+        assert source_workload(demo_file, DEMO) is first
+
+    def test_same_label_new_text_is_compiled(self, demo_file, capsys):
+        before = self._baseline_cycles(demo_file, capsys)
+        with open(demo_file, "w") as handle:
+            handle.write(DEMO.replace("i < 150", "i < 300"))
+        after = self._baseline_cycles(demo_file, capsys)
+        assert after > before
+
+    def test_suite_names_cannot_be_shadowed(self):
+        from repro.errors import HarnessError
+        from repro.workloads import source_workload
+
+        with pytest.raises(HarnessError, match="suite workload"):
+            source_workload("compress", DEMO)
+
+    def test_plan_takes_a_file(self, demo_file, capsys):
+        assert main(["plan", demo_file]) == 0
+        assert demo_file in capsys.readouterr().out
+
+
 class TestWorkloads:
     def test_list(self, capsys):
         assert main(["workloads"]) == 0

@@ -631,7 +631,7 @@ class TestHarnessCompaction:
         assert "vm.telemetry.compaction.events_in" in result.manifest.metrics
         # inflating the records matches a plain-telemetry run bit-for-bit
         plain = ExperimentRunner(telemetry=True).run(self._spec())
-        assert plain.records is None
+        assert inflate(result.records) == list(plain.records)
 
     def test_compaction_accuracy_report(self):
         runner = ExperimentRunner(telemetry=True, compaction=True)

@@ -92,20 +92,11 @@ class TestTripwires:
             del exp._INSTRUMENTATION_FACTORIES["corrupting"]
 
     def test_corruption_invisible_when_checks_disabled(self):
-        """Sanity for the tripwire test: with checks disabled the same
-        corrupt run completes (and computes something different)."""
-        from repro.harness import experiment as exp
-
-        relaxed = ExperimentRunner(check_semantics=False,
-                                   check_property1=False)
-        exp._INSTRUMENTATION_FACTORIES["corrupting"] = (
-            _CorruptingInstrumentation
+        """Sanity for the tripwire test: run outside the harness, with
+        no checks, the same corrupt program completes (and computes
+        something different)."""
+        program = get_workload("db").compile()
+        corrupt = SamplingFramework(Strategy.EXHAUSTIVE).transform(
+            program, _CorruptingInstrumentation()
         )
-        try:
-            result = relaxed.run(
-                RunSpec("db", Strategy.EXHAUSTIVE, ("corrupting",))
-            )
-            baseline_value = relaxed.baseline("db")[1].value
-            assert result.value != baseline_value
-        finally:
-            del exp._INSTRUMENTATION_FACTORIES["corrupting"]
+        assert run_program(corrupt).value != run_program(program).value

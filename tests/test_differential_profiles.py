@@ -43,7 +43,7 @@ from repro.instrument import (
     FieldAccessInstrumentation,
 )
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy
-from repro.sampling.properties import property1_vs_baseline
+from repro.analysis import property1_vs_baseline
 from repro.vm import VM, run_program
 
 SAMPLED_STRATEGIES = (

@@ -17,6 +17,8 @@ from hypothesis import HealthCheck, given, settings
 
 from tests.generators import programs
 
+from repro.analysis import AuditContext, property1_vs_baseline, run_rules
+from repro.analysis.context import FULL_DUPLICATION
 from repro.bytecode import verify_program
 from repro.cfg import roundtrip
 from repro.instrument import BlockCountInstrumentation, CallEdgeInstrumentation
@@ -27,9 +29,7 @@ from repro.sampling import (
     SamplingFramework,
     Strategy,
     insert_yieldpoints,
-    verify_check_placement,
 )
-from repro.sampling.properties import property1_vs_baseline
 from repro.vm import run_program
 
 FAST = settings(
@@ -103,8 +103,11 @@ def test_full_duplication_preserves_behaviour_and_property1(program):
         baseline, instr
     )
     for name in transformed.function_names():
-        report = verify_check_placement(transformed.function(name))
-        assert report.ok, report.problems
+        ctx = AuditContext(
+            transformed.function(name), strategy=FULL_DUPLICATION
+        )
+        findings = run_rules(ctx, rule_ids=("AUD001", "AUD002", "AUD003"))
+        assert not findings, [f.format() for f in findings]
     for interval in (1, 3, 17):
         instr.reset()
         result = run_program(

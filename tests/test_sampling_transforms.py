@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import AuditContext, property1_vs_baseline, run_rules
+from repro.analysis.context import FULL_DUPLICATION
 from repro.bytecode import Op
 from repro.cfg import CFG, CheckBranch, linearize
 from repro.errors import TransformError
@@ -16,15 +18,12 @@ from repro.sampling import (
     NeverTrigger,
     SamplingFramework,
     Strategy,
-    checking_code_blocks,
     dup_dag_edges,
     full_duplicate,
     insert_checks_only,
     no_duplicate,
     partial_duplicate,
-    verify_check_placement,
 )
-from repro.sampling.properties import property1_vs_baseline
 from repro.vm import run_program
 
 SOURCE = """
@@ -65,6 +64,15 @@ def base_result(baseline):
     return run_program(baseline)
 
 
+def placement_findings(fn):
+    """The placement invariants (AUD001-AUD003) for *fn*, judged as a
+    duplication output whatever its strategy stamp."""
+    return run_rules(
+        AuditContext(fn, strategy=FULL_DUPLICATION),
+        rule_ids=("AUD001", "AUD002", "AUD003"),
+    )
+
+
 def transformed(baseline, strategy, instr=None, yieldpoint_opt=False):
     instr = instr if instr is not None else CallEdgeInstrumentation()
     fw = SamplingFramework(strategy, yieldpoint_opt=yieldpoint_opt)
@@ -75,8 +83,8 @@ class TestFullDuplication:
     def test_structure_verifies(self, baseline):
         prog, _, _ = transformed(baseline, Strategy.FULL_DUPLICATION)
         for name in prog.function_names():
-            report = verify_check_placement(prog.function(name))
-            assert report.ok, report.problems
+            findings = placement_findings(prog.function(name))
+            assert not findings, [f.format() for f in findings]
 
     def test_code_roughly_doubles(self, baseline):
         prog, _, fw = transformed(baseline, Strategy.FULL_DUPLICATION)
@@ -87,7 +95,7 @@ class TestFullDuplication:
         for name in prog.function_names():
             fn = prog.function(name)
             cfg = CFG.from_function(fn)
-            checking = checking_code_blocks(fn)
+            checking = AuditContext(fn).checking
             for bid in checking:
                 assert not cfg.block(bid).has_instrumentation()
 
@@ -162,7 +170,7 @@ class TestYieldpointOptimization:
         for name in prog.function_names():
             fn = prog.function(name)
             cfg = CFG.from_function(fn)
-            for bid in checking_code_blocks(fn):
+            for bid in AuditContext(fn).checking:
                 ops = list(cfg.block(bid).iter_ops())
                 assert Op.YIELDPOINT not in ops
 
@@ -257,8 +265,8 @@ class TestPartialDuplication:
     def test_structure_verifies(self, baseline):
         prog, _, _ = transformed(baseline, Strategy.PARTIAL_DUPLICATION)
         for name in prog.function_names():
-            report = verify_check_placement(prog.function(name))
-            assert report.ok, report.problems
+            findings = placement_findings(prog.function(name))
+            assert not findings, [f.format() for f in findings]
 
     @pytest.mark.parametrize("interval", [1, 3, 17])
     def test_semantics_preserved(self, baseline, base_result, interval):

@@ -1,19 +1,18 @@
-"""Tests for yieldpoint insertion and the Property-1 verification API."""
+"""Tests for yieldpoint insertion and the check-placement rules."""
 
 import pytest
 
+from repro.analysis import AuditContext, run_rules
+from repro.analysis.context import FULL_DUPLICATION
 from repro.bytecode import Op
 from repro.cfg import CFG
 from repro.frontend import CompileOptions, compile_source
 from repro.sampling import (
-    CounterTrigger,
     SamplingFramework,
     Strategy,
-    check_budget,
     count_yieldpoints,
     insert_yieldpoints,
     insert_yieldpoints_cfg,
-    verify_check_placement,
 )
 from repro.instrument import CallEdgeInstrumentation
 from repro.vm import run_program
@@ -82,23 +81,17 @@ class TestCheckPlacementVerifier:
         prog = instrument_program(
             insert_yieldpoints(plain_program), CallEdgeInstrumentation()
         )
-        report = verify_check_placement(prog.function("spin"))
-        assert not report.ok
-        assert report.instrumented_checking_blocks > 0
+        ctx = AuditContext(prog.function("spin"), strategy=FULL_DUPLICATION)
+        assert run_rules(ctx, rule_ids=("AUD001", "AUD002", "AUD003"))
+        assert ctx.instrumented_checking_blocks()
 
     def test_accepts_well_formed_output(self, plain_program):
         base = insert_yieldpoints(plain_program)
         fw = SamplingFramework(Strategy.FULL_DUPLICATION)
         prog = fw.transform(base, CallEdgeInstrumentation())
         for name in prog.function_names():
-            report = verify_check_placement(prog.function(name))
-            assert report.ok
-            assert report.checks >= 1 or name == "main"
-
-    def test_check_budget_line(self, plain_program):
-        base = insert_yieldpoints(plain_program)
-        fw = SamplingFramework(Strategy.FULL_DUPLICATION)
-        prog = fw.transform(base, CallEdgeInstrumentation())
-        stats = run_program(prog, trigger=CounterTrigger(3)).stats
-        line = check_budget(stats)
-        assert "OK" in line
+            ctx = AuditContext(
+                prog.function(name), strategy=FULL_DUPLICATION
+            )
+            assert not run_rules(ctx, rule_ids=("AUD001", "AUD002", "AUD003"))
+            assert ctx.checking_check_bids or name == "main"
