@@ -59,7 +59,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.adaptive import AdaptiveController
 from repro.analysis import (
     BUDGETS,
-    CostCertificate,
     ReconcileVerdict,
     StrategyPlan,
     Suppressions,
@@ -420,8 +419,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     label = result.spec.workload
     # Inflating compacted records gives every export format the exact
     # stream a plain recorder would have retained.
-    records = result.records
-    events = inflate(records)
+    events = inflate(result.records)
     summary = result.manifest.telemetry
     if args.stats:
         print("\n".join(_render_trace_stats(label, summary, result.stats)))
@@ -431,7 +429,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.format == "jsonl":
             write_jsonl(events, args.out)
         elif args.format == "compact":
-            write_compact_jsonl(records, args.out)
+            write_compact_jsonl(result.records, args.out)
         else:
             write_chrome_trace(events, args.out, label=label)
         print(
@@ -442,7 +440,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     elif args.format == "jsonl":
         sys.stdout.write(events_to_jsonl(events))
     elif args.format == "compact":
-        sys.stdout.write(records_to_compact_jsonl(records))
+        sys.stdout.write(records_to_compact_jsonl(result.records))
     elif not args.stats:
         json.dump(events_to_chrome_trace(events, label=label), sys.stdout,
                   indent=1)
@@ -765,14 +763,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(f"certificate: {cert.static_checks} static check(s), "
               f"{cert.guarded_sites} guarded site(s); {cert.formula}")
         if incremental is not None:
-            dyn = CostCertificate.from_dict(
-                incremental["dynamic_certificate"]
-            )
             print(f"incremental: {incremental['loads']} load(s), "
                   f"{incremental['replaces']} replace(s), "
                   f"{len(incremental['events'])} event(s), "
                   f"{'ok' if incremental['ok'] else 'FAILED'}; "
-                  f"{dyn.formula}")
+                  f"{incremental['dynamic_certificate']['formula']}")
         verdict = ReconcileVerdict.from_dict(analysis["verdict"])
         print(f"reconcile: {verdict.summary()}")
         if args.out is not None:
