@@ -6,8 +6,8 @@ worth having if flushing epochs to disk does not meaningfully slow
 the run down. This bench times the same cell twice on the same
 engine:
 
-* **baseline** — a context-keyed ``CompactingRecorder`` (everything
-  streaming does in memory, minus the spool);
+* **baseline** — a suppressing, context-keyed ``TelemetryRecorder``
+  (everything streaming does in memory, minus the spool);
 * **streamed** — a ``StreamingRecorder`` flushing delta-encoded
   epochs to a spool directory.
 
@@ -53,7 +53,7 @@ from repro.sampling import (  # noqa: E402
     SamplingFramework,
     Strategy,
 )
-from repro.telemetry import CompactingRecorder, StreamingRecorder  # noqa: E402
+from repro.telemetry import StreamingRecorder, TelemetryRecorder  # noqa: E402
 from repro.vm import run_program  # noqa: E402
 from repro.vm.engine import resolve_engine  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
@@ -75,6 +75,10 @@ def _prepare(workload: str, scale: int):
     return SamplingFramework(Strategy.FULL_DUPLICATION).transform(
         program, make_instrumentations(("call-edge",))
     )
+
+
+def _baseline_recorder() -> TelemetryRecorder:
+    return TelemetryRecorder(suppress=True, context=True)
 
 
 def _time_run(transformed, engine: str, recorder) -> float:
@@ -104,7 +108,7 @@ def measure_cell(
     # single warm-up run has been observed to leave the *next* run
     # still 5-10% slow — warm each side once.
     warm = spool_dir / f"{workload}-warmup"
-    _time_run(transformed, engine, CompactingRecorder(context=True))
+    _time_run(transformed, engine, _baseline_recorder())
     _time_run(transformed, engine, StreamingRecorder(warm))
     shutil.rmtree(warm, ignore_errors=True)
     ratios: List[float] = []
@@ -118,15 +122,11 @@ def measure_cell(
         streamed_rec = StreamingRecorder(spool)
         baseline_first = pair % 2 == 0
         if baseline_first:
-            base = _time_run(
-                transformed, engine, CompactingRecorder(context=True)
-            )
+            base = _time_run(transformed, engine, _baseline_recorder())
             stream = _time_run(transformed, engine, streamed_rec)
         else:
             stream = _time_run(transformed, engine, streamed_rec)
-            base = _time_run(
-                transformed, engine, CompactingRecorder(context=True)
-            )
+            base = _time_run(transformed, engine, _baseline_recorder())
         events = max(events, streamed_rec.compactor.events_in)
         base_seconds.append(base)
         stream_seconds.append(stream)

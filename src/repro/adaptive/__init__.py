@@ -3,10 +3,7 @@
 from repro.adaptive.controller import AdaptiveController, AdaptiveOutcome
 from repro.adaptive.hotness import (
     HotCallSite,
-    HotContext,
-    context_method_hotness,
     hot_call_sites,
-    hot_contexts,
     hot_methods,
     method_hotness,
 )
@@ -31,12 +28,9 @@ __all__ = [
     "AdaptiveController",
     "AdaptiveOutcome",
     "HotCallSite",
-    "HotContext",
     "method_hotness",
-    "context_method_hotness",
     "hot_methods",
     "hot_call_sites",
-    "hot_contexts",
     "profile_directed_inline",
     "RecompileReport",
     "AdaptiveVMSimulation",

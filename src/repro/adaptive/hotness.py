@@ -9,7 +9,7 @@ the two decisions such a controller makes: *which methods are hot* and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.profiles.profile import Profile
 
@@ -74,73 +74,3 @@ def hot_call_sites(
     sites.sort(key=lambda s: (-s.samples, s.caller, s.site, s.callee))
     return sites[:limit]
 
-
-# ---------------------------------------------------------------------------
-# live calling-context hotness (streamed CCT epochs)
-
-
-@dataclass(frozen=True)
-class HotContext:
-    """One calling context with its observed sample share."""
-
-    path: Tuple[str, ...]
-    samples: float
-    wall: float
-    share: float  # fraction of all CCT samples
-
-    @property
-    def leaf(self) -> str:
-        return self.path[-1] if self.path else ""
-
-
-def hot_contexts(
-    cct: Mapping[str, Mapping[str, Sequence[float]]],
-    threshold: float = 0.0,
-    limit: int = 16,
-) -> List[HotContext]:
-    """The hottest calling contexts in a CCT snapshot table (a
-    profiler snapshot's ``"cct"`` subdict, or
-    ``SpoolReader.cct_table()`` for a live spool), hottest first.
-
-    This is the online half of the hotness signal: a mid-run
-    re-planner can read a live spool's latest CCT epoch and decide per
-    *context*, not just per function, where instrumentation is worth
-    its cost.
-    """
-    from repro.profiling.cct import split_path, top_contexts
-
-    total = 0.0
-    for cell in cct.values():
-        for slot in cell.values():
-            total += slot[0]
-    if total <= 0:
-        return []
-    out: List[HotContext] = []
-    for key, samples, wall in top_contexts(cct, limit=limit):
-        share = samples / total
-        if share >= threshold:
-            out.append(HotContext(split_path(key), samples, wall, share))
-    return out
-
-
-def context_method_hotness(
-    cct: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, float]:
-    """Per-leaf-function share of CCT samples — the context-resolved
-    analogue of :func:`method_hotness`, so existing per-method policies
-    can consume live CCT epochs unchanged."""
-    from repro.profiling.cct import split_path
-
-    totals: Dict[str, float] = {}
-    grand = 0.0
-    for key, cell in cct.items():
-        n = 0.0
-        for slot in cell.values():
-            n += slot[0]
-        path = split_path(key)
-        leaf = path[-1] if path else ""
-        totals[leaf] = totals.get(leaf, 0.0) + n
-        grand += n
-    if grand <= 0:
-        return {}
-    return {name: n / grand for name, n in totals.items() if n > 0}

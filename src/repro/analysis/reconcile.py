@@ -152,8 +152,9 @@ def reconcile_stream(
     event, so the stream's sample weight can never exceed
     ``samples_taken``, and can fall short only by what ring evictions
     discarded — *dropped_events* is the eviction loss **in original
-    events** (:attr:`CompactingRecorder.dropped_events`; a plain
-    recorder's ``ring.dropped``). *records* may mix plain events and
+    events** (:attr:`~repro.telemetry.TelemetryRecorder.dropped_events`,
+    which equals ``ring.dropped`` when nothing is suppressed). *records*
+    may mix plain events and
     :class:`~repro.telemetry.compaction.SuppressedRun` entries; runs
     count with their full weight.
 

@@ -92,14 +92,6 @@ class OverheadProfiler:
             single predictable branch to the reference ladder.
         clock: injectable time source (tests substitute a fake clock to
             make wall attribution deterministic).
-        suppress: batch consecutive samples that land on the same
-            (component, function, pc, op, stack) into one pending run,
-            folded into the aggregate tables on the first differing
-            sample (or on :meth:`stop`/:meth:`snapshot`). Totals are
-            unchanged — only the per-sample dict churn moves off the hot
-            path — but tables lag until a flush, so suppression is
-            opt-in and callers that poke ``sample_counts`` mid-run must
-            leave it off.
         cct: additionally fold every sample into a first-class
             :class:`~repro.profiling.cct.CallingContextTree`, splitting
             each calling context's samples by overhead component
@@ -118,20 +110,12 @@ class OverheadProfiler:
         interval: int = DEFAULT_INTERVAL,
         enabled: bool = True,
         clock: Callable[[], float] = time.perf_counter,
-        suppress: bool = False,
         cct: bool = False,
     ):
         self.interval = interval
         self.enabled = enabled
         self.trigger = CounterTrigger(interval)
         self._clock = clock
-        self.suppress = suppress
-        #: open run: [key, n, wall] where key = (component, function,
-        #: pc, op, stack); None when no run is open
-        self._pending: Optional[list] = None
-        self.suppression_samples = 0
-        self.suppression_flushes = 0
-        self.suppression_max_run = 0
         self.wall: Dict[str, float] = {c: 0.0 for c in COMPONENTS}
         self.sample_counts: Dict[str, int] = {c: 0 for c in COMPONENTS}
         #: (function name, pc) -> samples landing on that block head
@@ -175,7 +159,6 @@ class OverheadProfiler:
         to ``runtime`` so the component sum keeps partitioning the span."""
         if self._run_started is None:
             return
-        self._flush_run()
         now = self._clock()
         if self._last is not None:
             self.wall["runtime"] += now - self._last
@@ -222,48 +205,21 @@ class OverheadProfiler:
         delta = now - last if last is not None else 0.0
         self._last = now
         stack = tuple(f.function.name for f in frames)
-        if self.suppress:
-            self.suppression_samples += 1
-            key = (component, function, pc, op, stack)
-            pending = self._pending
-            if pending is not None and pending[0] == key:
-                pending[1] += 1
-                pending[2] += delta
-                return
-            self._flush_run()
-            self._pending = [key, 1, delta]
-            return
-        self._apply(component, function, pc, op, stack, 1, delta)
-
-    def _apply(self, component, function, pc, op, stack, n, wall) -> None:
-        """Fold *n* samples worth *wall* seconds into the aggregate
-        tables — the single write path for both eager and batched takes."""
-        self.wall[component] += wall
-        self.sample_counts[component] += n
+        self.wall[component] += delta
+        self.sample_counts[component] += 1
         key = (function, pc)
         heat = self.heat
-        heat[key] = heat.get(key, 0) + n
+        heat[key] = heat.get(key, 0) + 1
         op_heat = self.op_heat
-        op_heat[op] = op_heat.get(op, 0) + n
+        op_heat[op] = op_heat.get(op, 0) + 1
         cell = self.stacks.get(stack)
         if cell is None:
-            self.stacks[stack] = [n, wall]
+            self.stacks[stack] = [1, delta]
         else:
-            cell[0] += n
-            cell[1] += wall
+            cell[0] += 1
+            cell[1] += delta
         if self.cct is not None:
-            self.cct.record(stack, component, n, wall)
-
-    def _flush_run(self) -> None:
-        pending = self._pending
-        if pending is None:
-            return
-        self._pending = None
-        (component, function, pc, op, stack), n, wall = pending
-        self._apply(component, function, pc, op, stack, n, wall)
-        self.suppression_flushes += 1
-        if n > self.suppression_max_run:
-            self.suppression_max_run = n
+            self.cct.record(stack, component, 1, delta)
 
     # -- cold read side ------------------------------------------------------
 
@@ -289,7 +245,6 @@ class OverheadProfiler:
         ``heat`` keys render as ``function@pc`` and ``op_heat`` keys as
         opcode names so snapshots are self-describing in manifests.
         """
-        self._flush_run()
         elapsed = self.elapsed_seconds
         if self._run_started is not None:  # span still open
             elapsed += self._clock() - self._run_started
@@ -314,16 +269,9 @@ class OverheadProfiler:
                 for stack, (n, wall) in sorted(self.stacks.items())
             },
         }
-        if self.suppress:
-            # Gated: absent unless suppression is on, so eager-profile
-            # snapshots (and their merges) are byte-for-byte unchanged.
-            snap["suppression"] = {
-                "samples": self.suppression_samples,
-                "flushes": self.suppression_flushes,
-                "max_run": self.suppression_max_run,
-            }
         if self.cct is not None:
-            # Gated like "suppression" and sorted like "stacks".
+            # Gated, so plain snapshots are byte-for-byte unchanged;
+            # sorted like "stacks".
             table = self.cct.snapshot()
             snap["cct"] = {
                 key: table[key] for key in sorted(table)
@@ -388,14 +336,4 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             from repro.profiling.cct import merge_cct_tables
 
             merged["cct"] = merge_cct_tables(merged.get("cct", {}), cct)
-        supp = snap.get("suppression")
-        if supp is not None:
-            # Present in the merge iff present in any input; samples and
-            # flushes add, max_run takes the max — associative either way.
-            cell = merged.setdefault(
-                "suppression", {"samples": 0, "flushes": 0, "max_run": 0}
-            )
-            cell["samples"] += supp.get("samples", 0)
-            cell["flushes"] += supp.get("flushes", 0)
-            cell["max_run"] = max(cell["max_run"], supp.get("max_run", 0))
     return merged

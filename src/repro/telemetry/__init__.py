@@ -5,36 +5,30 @@ The observability subsystem for the reproduction (docs/OBSERVABILITY.md):
 * :mod:`repro.telemetry.events` — typed event vocabulary;
 * :mod:`repro.telemetry.ring` — bounded flight-recorder buffer;
 * :mod:`repro.telemetry.recorder` — the hook surface the VM engines
-  call (:class:`TelemetryRecorder`, and :class:`NullRecorder` for
-  overhead gating);
+  call (:class:`TelemetryRecorder`, optionally suppressing runs of
+  identical events, and :class:`NullRecorder` for overhead gating);
 * :mod:`repro.telemetry.metrics` — counters / gauges / histograms;
 * :mod:`repro.telemetry.manifest` — per-run provenance JSON;
-* :mod:`repro.telemetry.exporters` — JSONL, compact JSONL, and Chrome
-  trace_event;
-* :mod:`repro.telemetry.compaction` — trace-aware redundancy
-  suppression: suppression windows, delta-encoded snapshots, and the
-  compacting recorder;
+* :mod:`repro.telemetry.compaction` — the record form (events and
+  suppressed runs), the suppression windows, and the verified
+  keyframe/delta snapshot stream;
+* :mod:`repro.telemetry.exporters` — views over records: JSONL,
+  Chrome trace_event, and the packed file codec with its reader;
 * :mod:`repro.telemetry.streaming` — epoch-based live export: the
   streaming recorder, the append-only spool (writer/reader), and
   ``tail_epochs`` for following a live run.
 """
 
 from repro.telemetry.compaction import (
-    CompactingRecorder,
     DeltaSnapshotStream,
     StreamCompactor,
     SuppressedRun,
     diff_metrics_snapshot,
     diff_profile_snapshot,
     inflate,
-    read_records_jsonl,
-    reconstruct_metrics_snapshots,
     record_weight,
-    records_from_jsonl,
-    records_to_jsonl,
     sample_site_profile,
     total_event_weight,
-    write_records_jsonl,
 )
 from repro.telemetry.events import (
     CHECK_TAKEN,
@@ -54,21 +48,13 @@ from repro.telemetry.exporters import (
     compact_jsonl_to_records,
     events_to_chrome_trace,
     events_to_jsonl,
-    read_compact_jsonl,
-    read_jsonl,
-    records_to_chrome_trace,
     records_to_compact_jsonl,
-    write_chrome_trace,
-    write_chrome_trace_from_records,
-    write_compact_jsonl,
-    write_jsonl,
 )
 from repro.telemetry.manifest import (
     RunManifest,
     aggregate_manifests,
     load_manifest,
     spec_as_dict,
-    write_aggregate,
 )
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -104,7 +90,6 @@ __all__ = [
     "THREAD_SWITCH",
     "TIMER_TICK",
     "DEFAULT_BUCKETS",
-    "CompactingRecorder",
     "Counter",
     "DeltaSnapshotStream",
     "Event",
@@ -131,23 +116,10 @@ __all__ = [
     "load_manifest",
     "metric_key",
     "quantile_from_buckets",
-    "read_compact_jsonl",
-    "read_jsonl",
-    "read_records_jsonl",
     "recompile_decision",
-    "reconstruct_metrics_snapshots",
     "record_weight",
-    "records_from_jsonl",
-    "records_to_chrome_trace",
     "records_to_compact_jsonl",
-    "records_to_jsonl",
     "sample_site_profile",
     "spec_as_dict",
     "tail_epochs",
-    "write_aggregate",
-    "write_chrome_trace",
-    "write_chrome_trace_from_records",
-    "write_compact_jsonl",
-    "write_jsonl",
-    "write_records_jsonl",
 ]

@@ -16,24 +16,27 @@ The module has three layers:
 
 * **suppression windows** — :class:`StreamCompactor` keeps one open
   window per (kind, tid, function, pc) key and folds each pushed event
-  into its window when the strides match, else flushes a record. The
-  :class:`CompactingRecorder` subclass routes the standard
-  ``TelemetryRecorder`` hook surface through a compactor, so both
-  engines compact transparently; with ``suppress=False`` it *is* the
-  plain recorder (the same compile-time no-op contract as
-  ``NullRecorder`` — engines only ever branch on ``recorder is None``).
+  into its window when the strides match, else flushes a record.
+  ``TelemetryRecorder(suppress=True)`` routes its hook surface through
+  a compactor, so every engine compacts transparently; without
+  ``suppress`` no compactor exists (the same compile-time no-op
+  contract as ``NullRecorder`` — engines only ever branch on
+  ``recorder is None``).
+* **records** — :func:`record_as_dict` / :func:`record_from_dict` are
+  the one record form. Plain events render exactly as
+  :meth:`Event.as_dict`, runs nest under a ``"run"`` key; spool epochs
+  and the packed file codec (``repro.telemetry.exporters``) both use
+  it, and plain JSONL and Chrome traces are views over the inflated
+  events.
 * **delta-encoded snapshots** — :func:`diff_metrics_snapshot` renders
   the change between two ``MetricsRegistry`` snapshots *as another
   valid snapshot* (counter increments, histogram bucket deltas, changed
   gauges), so keyframe + deltas reconstruct exactly through the
-  existing associative ``merge_snapshot`` — the same merge pool
-  workers already use. :class:`DeltaSnapshotStream` adds the keyframe
-  cadence; :func:`diff_profile_snapshot` does the same for
-  ``OverheadProfiler`` snapshots via ``merge_snapshots``.
-* **records on the wire** — :func:`records_to_jsonl` /
-  :func:`records_from_jsonl` serialize mixed Event/SuppressedRun
-  streams; ``repro.telemetry.exporters`` re-inflates them for the
-  Chrome exporter so existing consumers never see a compacted record.
+  existing associative merge — the same merge pool workers already
+  use. :func:`diff_profile_snapshot` does the same for
+  ``OverheadProfiler`` snapshots. :class:`DeltaSnapshotStream` encodes
+  either kind as keyframes and verified deltas, and :func:`replay`
+  rebuilds the sequence.
 
 Accuracy is quantified with the paper's own §4.4 metric:
 :func:`sample_site_profile` projects a (possibly suppressed) stream
@@ -45,7 +48,6 @@ against a perfect interval-1 profile with ``overlap_percentage``
 from __future__ import annotations
 
 import json
-import pathlib
 from typing import (
     Any,
     Callable,
@@ -62,14 +64,12 @@ from typing import (
 from repro.errors import ReproError
 from repro.profiles.profile import Profile
 from repro.telemetry.events import SAMPLE_FIRED, Event, event_from_dict
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.recorder import TelemetryRecorder
 
-#: Emit a full snapshot every N records by default; between keyframes
-#: only changed keys travel. Small enough that a reader seeking into a
-#: stream replays at most 15 deltas, large enough to amortize keyframe
-#: cost over steady-state runs.
-DEFAULT_KEYFRAME_EVERY = 16
+#: A full snapshot every N pushes; between keyframes only changed keys
+#: travel. Small enough that a reader seeking into a stream replays at
+#: most 15 deltas, large enough to amortize keyframe cost over
+#: steady-state runs.
+KEYFRAME_EVERY = 16
 
 
 class SuppressedRun(NamedTuple):
@@ -322,126 +322,6 @@ class StreamCompactor:
         return self.events_in / out if out else 1.0
 
 
-# -- the compacting recorder -------------------------------------------------
-
-
-class CompactingRecorder(TelemetryRecorder):
-    """A :class:`TelemetryRecorder` whose ring holds compacted records.
-
-    Every hook funnels through ``_emit``, so both engines (and the
-    harness annotate path) compact identically with zero engine-side
-    changes. With ``suppress=False`` the compactor is absent and this
-    class *is* the plain recorder — the disabled path adds no work,
-    mirroring the NullRecorder contract.
-
-    ``dropped_events`` weighs ring evictions in original events (an
-    evicted run of 500 loses 500 events), which is what the stream
-    reconciler needs to bound how many samples a suffix may be missing.
-    """
-
-    __slots__ = ("compactor", "dropped_events")
-
-    def __init__(
-        self,
-        capacity: int = 65536,
-        metrics: Optional[MetricsRegistry] = None,
-        suppress: bool = True,
-        context: bool = False,
-    ):
-        # ``context`` both tags events with calling-context ids (the
-        # inherited recorder option) and switches the suppression
-        # windows to the context key — one flag, because context-keyed
-        # windows without ctx-tagged events would silently degrade to
-        # the site key.
-        super().__init__(capacity=capacity, metrics=metrics, context=context)
-        self.dropped_events = 0
-        self.compactor = (
-            StreamCompactor(self._store, context_key=context)
-            if suppress
-            else None
-        )
-
-    @property
-    def suppressing(self) -> bool:
-        return self.compactor is not None
-
-    def _store(self, record: Record) -> None:
-        evicted = self.ring.append(record)
-        if evicted is not None:
-            self.dropped_events += record_weight(evicted)
-
-    def _emit(self, kind, cycles, tid, function, pc, data) -> None:
-        compactor = self.compactor
-        if compactor is None:
-            seq = self._seq
-            self._seq = seq + 1
-            evicted = self.ring.append(
-                Event(seq, kind, cycles, tid, function, pc, data)
-            )
-            if evicted is not None:
-                self.dropped_events += 1
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        compactor.push(Event(seq, kind, cycles, tid, function, pc, data))
-
-    # -- read side ---------------------------------------------------------
-
-    def records(self) -> Tuple[Record, ...]:
-        """The retained compacted stream, including still-open windows."""
-        out = list(self.ring)
-        if self.compactor is not None:
-            out.extend(self.compactor.pending_records())
-        return tuple(out)
-
-    def events(self) -> Tuple[Event, ...]:
-        """Inflated view — bit-equal to a plain recorder's stream (ring
-        evictions aside)."""
-        return tuple(inflate(self.records()))
-
-    def summary(self) -> Dict[str, Any]:
-        records = self.records()
-        payload = {
-            "active": True,
-            "events": total_event_weight(records),
-            "records": len(records),
-            "dropped": self.ring.dropped,
-            "dropped_events": self.dropped_events,
-            "capacity": self.ring.capacity,
-        }
-        compactor = self.compactor
-        payload["compaction"] = {
-            "enabled": compactor is not None,
-            "events_in": compactor.events_in if compactor else 0,
-            "suppressed": compactor.suppressed if compactor else 0,
-            "max_run": compactor.max_run if compactor else 1,
-            "ratio": round(compactor.ratio(), 3) if compactor else 1.0,
-        }
-        return payload
-
-    def sync_metrics(self) -> None:
-        """Publish ring + compaction state as ``vm.telemetry.*`` metrics
-        (idempotent: counters advance by deltas since the last sync)."""
-        super().sync_metrics()
-        compactor = self.compactor
-        metrics = self.metrics
-        if compactor is not None:
-            self._bump("vm.telemetry.compaction.events_in",
-                       compactor.events_in)
-            self._bump("vm.telemetry.compaction.suppressed",
-                       compactor.suppressed)
-            self._bump("vm.telemetry.compaction.records",
-                       compactor.records_out + len(compactor._windows))
-            metrics.gauge("vm.telemetry.compaction.ratio").set(
-                round(compactor.ratio(), 4)
-            )
-            metrics.gauge("vm.telemetry.compaction.max_run").set(
-                compactor.max_run
-            )
-        self._bump("vm.telemetry.compaction.dropped_events",
-                   self.dropped_events)
-
-
 # -- record (de)serialization ------------------------------------------------
 
 
@@ -483,39 +363,6 @@ def record_from_dict(payload: Dict[str, Any]) -> Record:
         int(run["seq_stride"]),
         int(run["cycles_stride"]),
         tuple(int(s) for s in strides),
-    )
-
-
-def records_to_jsonl(records: Iterable[Record]) -> str:
-    """One record per line — the *compact* JSONL format. A stream with
-    no runs is byte-identical to the plain exporter's output."""
-    return "".join(
-        json.dumps(record_as_dict(r), separators=(",", ":")) + "\n"
-        for r in records
-    )
-
-
-def records_from_jsonl(text: str) -> List[Record]:
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            records.append(record_from_dict(json.loads(line)))
-    return records
-
-
-def write_records_jsonl(
-    records: Iterable[Record], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(records_to_jsonl(records), encoding="utf-8")
-    return path
-
-
-def read_records_jsonl(path: Union[str, pathlib.Path]) -> List[Record]:
-    return records_from_jsonl(
-        pathlib.Path(path).read_text(encoding="utf-8")
     )
 
 
@@ -600,76 +447,6 @@ def diff_metrics_snapshot(
     return delta
 
 
-def apply_metrics_delta(
-    base: Dict[str, Dict[str, Any]],
-    delta: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """base ∘ delta, via the registry's own associative merge."""
-    registry = MetricsRegistry()
-    registry.merge_snapshot(base)
-    registry.merge_snapshot(delta)
-    return registry.snapshot()
-
-
-class DeltaSnapshotStream:
-    """Keyframe + delta encoding for a sequence of metrics snapshots.
-
-    ``push(snapshot)`` returns one JSON-able record: a ``keyframe``
-    (full snapshot) every *keyframe_every* pushes, else a ``delta``
-    holding only changed keys. :func:`reconstruct_metrics_snapshots`
-    replays records back into the exact original snapshot sequence.
-    """
-
-    def __init__(self, keyframe_every: int = DEFAULT_KEYFRAME_EVERY):
-        if keyframe_every < 1:
-            raise ReproError(
-                f"keyframe_every must be >= 1, got {keyframe_every}"
-            )
-        self.keyframe_every = keyframe_every
-        self.keyframes = 0
-        self.deltas = 0
-        self._index = 0
-        self._last: Optional[Dict[str, Dict[str, Any]]] = None
-
-    def push(self, snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-        index = self._index
-        self._index = index + 1
-        snapshot = json.loads(json.dumps(snapshot))  # detach from caller
-        if self._last is None or index % self.keyframe_every == 0:
-            self.keyframes += 1
-            record = {"kind": "keyframe", "seq": index, "snapshot": snapshot}
-        else:
-            self.deltas += 1
-            record = {
-                "kind": "delta",
-                "seq": index,
-                "changed": diff_metrics_snapshot(self._last, snapshot),
-            }
-        self._last = snapshot
-        return record
-
-
-def reconstruct_metrics_snapshots(
-    records: Iterable[Dict[str, Any]],
-) -> List[Dict[str, Dict[str, Any]]]:
-    """Replay :class:`DeltaSnapshotStream` records into full snapshots."""
-    out: List[Dict[str, Dict[str, Any]]] = []
-    registry: Optional[MetricsRegistry] = None
-    for record in records:
-        kind = record.get("kind")
-        if kind == "keyframe":
-            registry = MetricsRegistry()
-            registry.merge_snapshot(record["snapshot"])
-        elif kind == "delta":
-            if registry is None:
-                raise ReproError("delta record before any keyframe")
-            registry.merge_snapshot(record["changed"])
-        else:
-            raise ReproError(f"unknown snapshot record kind {kind!r}")
-        out.append(registry.snapshot())
-    return out
-
-
 # -- delta-encoded profiler snapshots ----------------------------------------
 
 #: Scalar fields of a profiler snapshot that diff additively.
@@ -713,18 +490,74 @@ def diff_profile_snapshot(
         for prior in (prev_stacks.get(key, (0, 0.0)),)
         if [n, wall] != list(prior)
     }
-    suppression = current.get("suppression")
-    if suppression is not None:
-        prev_sup = base.get("suppression", {})
-        delta["suppression"] = {
-            # max_run merges by max, so the delta carries the current
-            # value; the additive stats carry increments.
-            k: v if k == "max_run" else v - prev_sup.get(k, 0)
-            for k, v in suppression.items()
-        }
     cct = current.get("cct")
     if cct is not None:
         from repro.profiling.cct import diff_cct_table
 
         delta["cct"] = diff_cct_table(base.get("cct", {}), cct)
     return delta
+
+
+# -- keyframe + delta streams ------------------------------------------------
+
+
+class DeltaSnapshotStream:
+    """Keyframe + verified-delta encoding of a snapshot sequence.
+
+    ``diff(base, current)`` renders a change as a snapshot and
+    ``merge(snapshots)`` folds snapshots together, such that
+    ``merge([base, diff(base, current)])`` normally equals *current*.
+    ``push(snapshot)`` returns one JSON-able record: a ``keyframe``
+    (full snapshot) every :data:`KEYFRAME_EVERY` pushes, else a
+    ``delta`` holding only the change.
+
+    Delta chains over floats can drift by an ulp
+    (``base + (cur - base) != cur``), so every delta is verified by
+    replaying it before it is returned, and a keyframe replaces any
+    delta that does not replay to the exact snapshot
+    ("verify-or-keyframe"). :func:`replay` with the same ``merge``
+    therefore rebuilds the pushed sequence exactly.
+    """
+
+    def __init__(
+        self,
+        diff: Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]],
+        merge: Callable[[Iterable[Dict[str, Any]]], Dict[str, Any]],
+    ):
+        self.diff = diff
+        self.merge = merge
+        self._index = 0
+        self._last: Optional[Dict[str, Any]] = None
+
+    def push(self, snapshot: Dict[str, Any]) -> Dict[str, Any]:
+        index = self._index
+        self._index = index + 1
+        snapshot = json.loads(json.dumps(snapshot))  # detach from caller
+        last = self._last
+        self._last = snapshot
+        if last is not None and index % KEYFRAME_EVERY:
+            delta = self.diff(last, snapshot)
+            if self.merge([last, delta]) == snapshot:
+                return {"kind": "delta", "seq": index, "changed": delta}
+        return {"kind": "keyframe", "seq": index, "snapshot": snapshot}
+
+
+def replay(
+    records: Iterable[Dict[str, Any]],
+    merge: Callable[[Iterable[Dict[str, Any]]], Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """Rebuild the snapshots a :class:`DeltaSnapshotStream` encoded."""
+    out: List[Dict[str, Any]] = []
+    state: Optional[Dict[str, Any]] = None
+    for record in records:
+        kind = record.get("kind")
+        if kind == "keyframe":
+            state = record["snapshot"]
+        elif kind == "delta":
+            if state is None:
+                raise ReproError("delta record before any keyframe")
+            state = merge([state, record["changed"]])
+        else:
+            raise ReproError(f"unknown snapshot record kind {kind!r}")
+        out.append(state)
+    return out

@@ -1,33 +1,39 @@
-"""Trace exporters: JSONL, compact JSONL, and Chrome ``trace_event``.
+"""Trace views and the packed file codec.
 
-JSONL is the machine-diffable format — one :meth:`Event.as_dict` per
-line, loadable with any log tooling and round-trippable through
-:func:`~repro.telemetry.events.event_from_dict`.
+Every view renders the one record form of
+:mod:`repro.telemetry.compaction` (events and suppressed runs):
 
-The *compact* JSONL format (:func:`write_compact_jsonl`) is the
-compacting-exporter half of ``repro.telemetry.compaction``: it consumes
-suppressed record streams and packs them with a template dictionary +
-integer delta encoding (see the format notes on
-:class:`_CompactEncoder`), re-inflating bit-equivalently through
-:func:`read_compact_jsonl`. On steady-state sampling streams it is an
-order of magnitude smaller than plain JSONL (the CI compaction gate
-pins >= 10x on javac/osr).
-
-The Chrome format targets ``chrome://tracing`` / Perfetto: a JSON
-object with a ``traceEvents`` array. Simulated cycles map onto the
-viewer's microsecond timeline (1 cycle = 1 µs), threads map onto
-viewer threads, and duplicated-code residency renders as complete
-("X") duration slices so sample clustering is visible at a glance.
-See https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-for the format reference.
+* **JSONL** — :func:`events_to_jsonl`, one :meth:`Event.as_dict` per
+  line over the inflated events; loadable with any log tooling.
+* **packed JSONL** — :func:`records_to_compact_jsonl` packs a record
+  stream with a template dictionary + integer delta encoding (format
+  notes at the "compact JSONL" section below), and
+  :func:`compact_jsonl_to_records` reads it back bit-equivalently. The
+  reader also parses plain record-per-line JSONL, so it is the one
+  reader for every JSONL stream. On steady-state sampling streams the
+  packed form is an order of magnitude smaller than plain JSONL (the
+  CI compaction gate pins >= 10x on javac/osr).
+* **Chrome** — :func:`events_to_chrome_trace` targets
+  ``chrome://tracing`` / Perfetto: a JSON object with a
+  ``traceEvents`` array. Simulated cycles map onto the viewer's
+  microsecond timeline (1 cycle = 1 µs), threads map onto viewer
+  threads, and duplicated-code residency renders as complete ("X")
+  duration slices so sample clustering is visible at a glance. See
+  https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
+  for the format reference.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List
 
+from repro.telemetry.compaction import (
+    Record,
+    SuppressedRun,
+    record_as_dict,
+    record_from_dict,
+)
 from repro.telemetry.events import (
     DUP_ENTER,
     DUP_EXIT,
@@ -46,25 +52,6 @@ def events_to_jsonl(events: Iterable[Event]) -> str:
     return "".join(
         json.dumps(e.as_dict(), separators=(",", ":")) + "\n" for e in events
     )
-
-
-def write_jsonl(
-    events: Iterable[Event], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(events_to_jsonl(events), encoding="utf-8")
-    return path
-
-
-def read_jsonl(path: Union[str, pathlib.Path]) -> List[Event]:
-    """Inverse of :func:`write_jsonl`."""
-    events = []
-    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            events.append(event_from_dict(json.loads(line)))
-    return events
 
 
 # -- Chrome trace_event ------------------------------------------------------
@@ -209,21 +196,6 @@ def events_to_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {"clock": "simulated cycles (1 cycle = 1us)"},
     }
-
-
-def write_chrome_trace(
-    events: Iterable[Event],
-    path: Union[str, pathlib.Path],
-    label: str = "repro",
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(events_to_chrome_trace(events, label=label), indent=1)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 # -- compact JSONL -----------------------------------------------------------
@@ -454,10 +426,8 @@ def _plan_modes(groups):
     return modes
 
 
-def records_to_compact_jsonl(records) -> str:
+def records_to_compact_jsonl(records: Iterable[Record]) -> str:
     """Pack a record stream into the compact JSONL format."""
-    from repro.telemetry.compaction import SuppressedRun, record_as_dict
-
     big_runs = []
     events: List[Event] = []
     for record in records:
@@ -547,12 +517,12 @@ def _decode_group(state: _TemplateState, seq, cycles, ints) -> List[Event]:
     return events
 
 
-def compact_jsonl_to_records(text: str):
+def compact_jsonl_to_records(text: str) -> List[Record]:
     """Inverse of :func:`records_to_compact_jsonl`. Also accepts the
-    plain record-per-line format (no header), so readers can sniff."""
-    from repro.telemetry.compaction import record_from_dict
-
-    records = []
+    plain record-per-line format (no header) — plain events and runs
+    in :func:`~repro.telemetry.compaction.record_as_dict` form — so it
+    reads :func:`events_to_jsonl` output back as well."""
+    records: List[Record] = []
     templates: List[_TemplateState] = []
     global_last: Dict[str, int] = {}
     last_seq = -1
@@ -613,39 +583,3 @@ def compact_jsonl_to_records(text: str):
             continue
         records.append(record_from_dict(obj))
     return records
-
-
-def write_compact_jsonl(records, path: Union[str, pathlib.Path],
-                        ) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(records_to_compact_jsonl(records), encoding="utf-8")
-    return path
-
-
-def read_compact_jsonl(path: Union[str, pathlib.Path]):
-    """Read a compact (or plain record-per-line) JSONL stream."""
-    return compact_jsonl_to_records(
-        pathlib.Path(path).read_text(encoding="utf-8")
-    )
-
-
-def records_to_chrome_trace(records, label: str = "repro"):
-    """Chrome document for a compacted stream: re-inflates first, so
-    the output is bit-identical to exporting the uncompacted events."""
-    from repro.telemetry.compaction import inflate
-
-    return events_to_chrome_trace(inflate(records), label=label)
-
-
-def write_chrome_trace_from_records(
-    records, path: Union[str, pathlib.Path], label: str = "repro"
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(records_to_chrome_trace(records, label=label), indent=1)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path

@@ -5,9 +5,11 @@ produced this number?": the full :class:`~repro.harness.experiment.RunSpec`,
 the engine, the resolved trigger configuration (including the derived
 per-cell seed for randomized triggers), simulated-cycle and wall-clock
 timings, the final :class:`~repro.vm.tracing.ExecStats`, and a metrics
-snapshot. ``ExperimentRunner`` emits one per computed cell and
-aggregates them — including manifests pickled back from pool workers —
-into a sweep-level summary (:func:`aggregate_manifests`).
+snapshot. ``ExperimentRunner`` emits one per computed cell — including
+manifests pickled back from pool workers — and folds each cell's
+metrics into its own registry as the manifest arrives. For a roll-up
+of a list of manifests, :func:`aggregate_manifests` builds a
+sweep-level summary.
 
 Manifests round-trip exactly: ``load_manifest(path) ==`` the manifest
 that was written (tests/test_telemetry.py pins write → load → equal).
@@ -134,16 +136,3 @@ def aggregate_manifests(manifests: List[RunManifest]) -> Dict[str, Any]:
         "sources": dict(sorted(by_source.items())),
         "metrics": merged.snapshot(),
     }
-
-
-def write_aggregate(
-    manifests: List[RunManifest], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(aggregate_manifests(manifests), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path

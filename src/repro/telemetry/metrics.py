@@ -18,7 +18,7 @@ Naming convention: dotted component paths (``vm.samples``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 
@@ -321,3 +321,15 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         self.merge_snapshot(other.snapshot())
+
+
+def merge_metric_snapshots(
+    snapshots: Iterable[Dict[str, Dict[str, object]]],
+) -> Dict[str, Dict[str, object]]:
+    """Fold snapshots into one through
+    :meth:`MetricsRegistry.merge_snapshot` (the metrics counterpart of
+    :func:`repro.profiling.merge_snapshots`)."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.merge_snapshot(snapshot)
+    return registry.snapshot()

@@ -2,33 +2,33 @@
 
 Every observability surface in the repo used to be exported only after
 a run completed; this module makes the export *epoch-based and live*.
-A :class:`StreamingRecorder` is a :class:`CompactingRecorder` that, at
-every epoch boundary (a fixed number of emitted events), appends one
-JSON line to a **spool** — a directory of rolling JSONL segments plus a
-small ``MANIFEST.json`` index — containing:
+A :class:`StreamingRecorder` is a suppressing, context-tracking
+:class:`TelemetryRecorder` that, at every epoch boundary (a fixed
+number of emitted events), appends one JSON line to a **spool** — a
+directory of rolling JSONL segments plus a small ``MANIFEST.json``
+index — containing:
 
 * the compacted event records completed since the previous epoch
   (captured *before* ring admission, so the spool never loses events to
   ring eviction — suppression windows stay open across epochs, keeping
-  the record stream identical to a non-streaming compacting recorder);
+  the record stream identical to a non-streaming recorder's);
 * a delta-encoded metrics snapshot (keyframe + deltas, composing
   through ``MetricsRegistry.merge_snapshot``);
 * a delta-encoded profiler snapshot when a profiler is attached
   (composing through :func:`repro.profiling.merge_snapshots`);
-* newly interned calling-context table entries, when the recorder
-  tracks contexts.
+* newly interned calling-context table entries.
 
 Memory is bounded: each epoch's buffers are drained on flush, and the
 open file handle is the only per-spool state that grows with nothing.
 
-**Bit-equal reconstruction.** Delta chains over floats can drift by an
-ulp (``base + (cur - base) != cur``), so the writer *verifies* every
-delta record against a maintained replay before committing it, and
-falls back to a keyframe on any mismatch ("verify-or-keyframe"). The
-result is a hard guarantee: :meth:`SpoolReader.final_metrics` and
-:meth:`SpoolReader.final_profile` reconstruct the end-of-run snapshots
-exactly, not approximately (tests/test_streaming.py pins this for the
-full workload × strategy matrix).
+**Bit-equal reconstruction.** Both snapshot kinds go through one
+:class:`~repro.telemetry.compaction.DeltaSnapshotStream`, which
+verifies every delta before committing it and falls back to a keyframe
+on any mismatch. The result is a hard guarantee:
+:meth:`SpoolReader.final_metrics` and :meth:`SpoolReader.final_profile`
+reconstruct the end-of-run snapshots exactly, not approximately
+(tests/test_streaming.py pins this for the full workload × strategy
+matrix).
 
 **Crash tolerance.** Each epoch is one line, flushed on write. A
 process killed mid-write leaves at most one truncated trailing line,
@@ -50,16 +50,18 @@ from repro.errors import ReproError
 from repro.profiling.cct import cct_from_events
 from repro.profiling.profiler import merge_snapshots
 from repro.telemetry.compaction import (
-    CompactingRecorder,
     DeltaSnapshotStream,
     Record,
+    diff_metrics_snapshot,
     diff_profile_snapshot,
     inflate,
     record_as_dict,
     record_from_dict,
+    replay,
 )
 from repro.telemetry.events import Event
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import merge_metric_snapshots
+from repro.telemetry.recorder import TelemetryRecorder
 
 #: Spool format version (bump on incompatible layout changes).
 SPOOL_VERSION = 1
@@ -72,9 +74,6 @@ DEFAULT_EPOCH_EVENTS = 4096
 
 #: Default segment roll size (bytes of JSONL per segment file).
 DEFAULT_SEGMENT_BYTES = 1 << 20
-
-#: Profile keyframe cadence (epochs between full profile snapshots).
-PROFILE_KEYFRAME_EVERY = 16
 
 
 def _segment_name(index: int) -> str:
@@ -174,25 +173,24 @@ class SpoolWriter:
         self._write_manifest("closed", final=final)
 
 
-class StreamingRecorder(CompactingRecorder):
-    """A compacting recorder that exports epochs to a spool mid-run.
+class StreamingRecorder(TelemetryRecorder):
+    """A recorder that exports epochs to a spool mid-run.
 
     Args:
         path: spool directory to create (must not already be a spool).
-        capacity / metrics / suppress / context: as
-            :class:`CompactingRecorder`; ``context=True`` by default so
-            the spool carries calling-context ids and the suppression
-            windows key on them (`repro watch` renders hot contexts
-            from either the profiler CCT or these event tags).
+        capacity: ring size, as :class:`TelemetryRecorder`. Suppression
+            and context tracking are always on: the spool carries
+            calling-context ids and the suppression windows key on them
+            (`repro watch` renders hot contexts from either the
+            profiler CCT or these event tags).
         epoch_events: emitted events per epoch flush — the bounded
             memory knob: completed records buffer at most one epoch.
-        segment_max_bytes: spool segment roll size.
         profiler: optional :class:`OverheadProfiler` whose snapshots are
             delta-streamed alongside the metrics.
         label / meta: provenance recorded in the spool manifest.
 
     The record stream is identical to a non-streaming
-    ``CompactingRecorder(suppress=..., context=...)`` run: spooled
+    ``TelemetryRecorder(suppress=True, context=True)`` run: spooled
     records are captured at completion time (before ring admission, so
     eviction never loses them) and suppression windows survive epoch
     boundaries un-flushed. :meth:`close` flushes the compactor, writes
@@ -203,19 +201,14 @@ class StreamingRecorder(CompactingRecorder):
     __slots__ = (
         "writer", "epoch_events", "profiler", "epochs_flushed",
         "_epoch_records", "_events_since_flush", "_ctx_mark",
-        "_metrics_stream", "_metrics_replay", "_profile_last",
-        "_profile_replay", "_profile_epoch",
+        "_metrics_stream", "_profile_stream",
     )
 
     def __init__(
         self,
         path: Union[str, pathlib.Path],
         capacity: int = 65536,
-        metrics: Optional[MetricsRegistry] = None,
-        suppress: bool = True,
-        context: bool = True,
         epoch_events: int = DEFAULT_EPOCH_EVENTS,
-        segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
         profiler=None,
         label: str = "",
         meta: Optional[Dict[str, Any]] = None,
@@ -224,25 +217,20 @@ class StreamingRecorder(CompactingRecorder):
             raise ReproError(
                 f"epoch_events must be >= 1, got {epoch_events}"
             )
-        super().__init__(
-            capacity=capacity, metrics=metrics, suppress=suppress,
-            context=context,
-        )
-        self.writer = SpoolWriter(
-            path, label=label, meta=meta,
-            segment_max_bytes=segment_max_bytes,
-        )
+        super().__init__(capacity=capacity, suppress=True, context=True)
+        self.writer = SpoolWriter(path, label=label, meta=meta)
         self.epoch_events = epoch_events
         self.profiler = profiler
         self.epochs_flushed = 0
         self._epoch_records: List[Record] = []
         self._events_since_flush = 0
         self._ctx_mark = 0
-        self._metrics_stream = DeltaSnapshotStream()
-        self._metrics_replay: Optional[MetricsRegistry] = None
-        self._profile_last: Optional[Dict[str, Any]] = None
-        self._profile_replay: Optional[Dict[str, Any]] = None
-        self._profile_epoch = 0
+        self._metrics_stream = DeltaSnapshotStream(
+            diff_metrics_snapshot, merge_metric_snapshots
+        )
+        self._profile_stream = DeltaSnapshotStream(
+            diff_profile_snapshot, merge_snapshots
+        )
 
     # -- hot path ------------------------------------------------------------
 
@@ -259,47 +247,6 @@ class StreamingRecorder(CompactingRecorder):
             self.flush_epoch()
 
     # -- epoch flushing ------------------------------------------------------
-
-    def _metrics_record(self) -> Dict[str, Any]:
-        """Verify-or-keyframe: the delta must replay to the exact
-        current snapshot, else it is replaced by a keyframe."""
-        snapshot = self.metrics.snapshot()
-        record = self._metrics_stream.push(snapshot)
-        if record["kind"] == "keyframe":
-            self._metrics_replay = MetricsRegistry()
-            self._metrics_replay.merge_snapshot(record["snapshot"])
-        else:
-            self._metrics_replay.merge_snapshot(record["changed"])
-            if self._metrics_replay.snapshot() != snapshot:
-                record = {
-                    "kind": "keyframe",
-                    "seq": record["seq"],
-                    "snapshot": snapshot,
-                }
-                self._metrics_replay = MetricsRegistry()
-                self._metrics_replay.merge_snapshot(snapshot)
-        return record
-
-    def _profile_record(self) -> Optional[Dict[str, Any]]:
-        if self.profiler is None:
-            return None
-        snapshot = json.loads(json.dumps(self.profiler.snapshot()))
-        index = self._profile_epoch
-        self._profile_epoch = index + 1
-        keyframe = (
-            self._profile_last is None
-            or index % PROFILE_KEYFRAME_EVERY == 0
-        )
-        if not keyframe:
-            delta = diff_profile_snapshot(self._profile_last, snapshot)
-            replay = merge_snapshots([self._profile_replay, delta])
-            if replay == snapshot:
-                self._profile_last = snapshot
-                self._profile_replay = replay
-                return {"kind": "delta", "seq": index, "changed": delta}
-        self._profile_last = snapshot
-        self._profile_replay = json.loads(json.dumps(snapshot))
-        return {"kind": "keyframe", "seq": index, "snapshot": snapshot}
 
     def flush_epoch(self, force: bool = False) -> bool:
         """Write one epoch line: buffered records + metric/profile
@@ -319,16 +266,16 @@ class StreamingRecorder(CompactingRecorder):
                 "dropped_events": self.dropped_events,
             },
             "events": [record_as_dict(r) for r in records],
-            "metrics": self._metrics_record(),
+            "metrics": self._metrics_stream.push(self.metrics.snapshot()),
         }
-        profile = self._profile_record()
-        if profile is not None:
-            payload["profile"] = profile
-        if self.wants_context and self.contexts is not None:
-            fresh = self.contexts.entries_since(self._ctx_mark)
-            if fresh:
-                payload["contexts"] = fresh
-                self._ctx_mark = len(self.contexts)
+        if self.profiler is not None:
+            payload["profile"] = self._profile_stream.push(
+                self.profiler.snapshot()
+            )
+        fresh = self.contexts.entries_since(self._ctx_mark)
+        if fresh:
+            payload["contexts"] = fresh
+            self._ctx_mark = len(self.contexts)
         self.writer.append(payload)
         self.epochs_flushed += 1
         return True
@@ -339,8 +286,7 @@ class StreamingRecorder(CompactingRecorder):
         final reconstructed snapshot equals the manifest's."""
         if self.writer.closed:
             return
-        if self.compactor is not None:
-            self.compactor.flush()
+        self.compactor.flush()
         self.flush_epoch(force=True)
         self.writer.close(final=self.summary())
 
@@ -440,43 +386,28 @@ class SpoolReader:
 
     # -- snapshot reconstruction ---------------------------------------------
 
+    def _replay(self, field: str, merge, error: str) -> List[Dict[str, Any]]:
+        records = [epoch[field] for epoch in self.epochs if field in epoch]
+        if records and records[0]["kind"] != "keyframe":
+            raise ReproError(error)
+        return replay(records, merge)
+
     def metrics_snapshots(self) -> List[Dict[str, Dict[str, Any]]]:
         """Replay the per-epoch metric records into full snapshots."""
-        out: List[Dict[str, Dict[str, Any]]] = []
-        registry: Optional[MetricsRegistry] = None
-        for epoch in self.epochs:
-            record = epoch.get("metrics")
-            if record is None:
-                continue
-            if record["kind"] == "keyframe":
-                registry = MetricsRegistry()
-                registry.merge_snapshot(record["snapshot"])
-            else:
-                if registry is None:
-                    raise ReproError("spool: delta before any keyframe")
-                registry.merge_snapshot(record["changed"])
-            out.append(registry.snapshot())
-        return out
+        return self._replay(
+            "metrics", merge_metric_snapshots,
+            "spool: delta before any keyframe",
+        )
 
     def final_metrics(self) -> Dict[str, Dict[str, Any]]:
         snapshots = self.metrics_snapshots()
         return snapshots[-1] if snapshots else {}
 
     def profile_snapshots(self) -> List[Dict[str, Any]]:
-        out: List[Dict[str, Any]] = []
-        state: Optional[Dict[str, Any]] = None
-        for epoch in self.epochs:
-            record = epoch.get("profile")
-            if record is None:
-                continue
-            if record["kind"] == "keyframe":
-                state = record["snapshot"]
-            else:
-                if state is None:
-                    raise ReproError("spool: profile delta before keyframe")
-                state = merge_snapshots([state, record["changed"]])
-            out.append(state)
-        return out
+        return self._replay(
+            "profile", merge_snapshots,
+            "spool: profile delta before keyframe",
+        )
 
     def final_profile(self) -> Optional[Dict[str, Any]]:
         snapshots = self.profile_snapshots()

@@ -117,7 +117,7 @@ class ExecStats:
         original program's backedge traversals by exactly the number of
         taken checks. This same-run bound therefore matches the paper's
         definition, which is stated over the uninstrumented execution;
-        :func:`repro.sampling.properties.property1_vs_baseline` gives
+        :func:`repro.analysis.reconcile.property1_vs_baseline` gives
         the cross-run variant with no adjustment.
         """
         return (

@@ -207,3 +207,19 @@ def test_sample_iterations_is_part_of_the_family():
     # run passes fewer checks than the uncounted transform
     assert looped.stats.checks_executed < plain.stats.checks_executed
 
+
+
+def test_planned_cell_rejects_counted_backedges():
+    """A plan mixes strategies and its transform counts no backedges,
+    so a planned spec asking for sample_iterations > 1 is an error
+    instead of silently running one sample per iteration."""
+    from dataclasses import replace
+
+    from repro.errors import HarnessError
+
+    spec = RunSpec("compress", FULL, ("call-edge",), trigger="counter",
+                   interval=50, scale=1, plan=PLAN)
+    runner = ExperimentRunner(cache=False)
+    with pytest.raises(HarnessError, match="sample_iterations=4"):
+        runner.run(replace(spec, sample_iterations=4))
+    assert runner.run(spec).value == runner.baseline("compress", 1)[1].value

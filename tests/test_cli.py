@@ -195,3 +195,48 @@ class TestTables:
         err = capsys.readouterr().err
         assert err.startswith("error: REPRO_JOBS must be an integer")
         assert "Traceback" not in err
+
+
+#: Run flags whose zero value is an error, and the verbs taking each.
+_ZERO_FLAGS = [
+    ("--capacity", ("trace", "metrics", "audit", "compact")),
+    ("--interval", ("trace", "metrics", "audit", "profile", "compact")),
+    ("--profile-interval", ("metrics", "profile")),
+    ("--timer-period", ("trace", "metrics", "audit", "profile")),
+]
+
+
+class TestBadRunFlags:
+    @pytest.mark.parametrize("verb,flag", [
+        (verb, flag) for flag, verbs in _ZERO_FLAGS for verb in verbs
+    ])
+    def test_zero_is_an_error_not_a_traceback(self, verb, flag, capsys):
+        argv = [verb, "--workload", "osr", flag, "0"]
+        if verb == "metrics" and flag == "--profile-interval":
+            argv.append("--profile-vm")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--trigger", "never"], ["--strategy", "exhaustive"],
+    ])
+    def test_unused_zero_interval_still_runs(self, extra, capsys):
+        argv = ["metrics", "--workload", "osr", "--interval", "0", *extra]
+        assert main(argv) == 0
+        assert "reconcile:" in capsys.readouterr().out
+
+
+class TestOutDirectories:
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--workload", "osr", "--format", "jsonl"],
+        ["trace", "--workload", "osr", "--stats"],
+        ["audit", "--workload", "osr"],
+        ["compact", "--workload", "osr", "--interval", "100"],
+        ["plan", "--workload", "osr"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[3:4]))
+    def test_out_creates_missing_parent(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "nested" / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").strip()

@@ -13,17 +13,16 @@ The streaming contract (docs/OBSERVABILITY.md) has three legs:
 * **crash tolerance** — a spool whose writer died mid-run reads back
   as a clean prefix: every flushed epoch is intact, a half-written
   tail line reports ``truncated=True`` instead of raising, and the
-  prefix still merges.
+  prefix still merges. Here a finished spool is cut at every point a
+  killed writer can leave it; ``tests_ci/test_spool_kill.py`` kills a
+  real writer process.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import signal
-import subprocess
-import sys
-import time
+import random
+import shutil
 
 import pytest
 
@@ -45,10 +44,10 @@ from repro.profiling.cct import (
 )
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy
 from repro.telemetry import (
-    CompactingRecorder,
     SpoolReader,
     SpoolWriter,
     StreamingRecorder,
+    TelemetryRecorder,
     tail_epochs,
 )
 from repro.telemetry.streaming import MANIFEST_NAME
@@ -141,7 +140,7 @@ class TestCallingContextTree:
         assert [k for k, _, _ in top_contexts(table)] == ["c", "b", "a"]
 
     def test_cct_from_events_builds_pseudo_tree(self):
-        rec = CompactingRecorder(context=True)
+        rec = TelemetryRecorder(suppress=True, context=True)
         _run_with(rec, "compress", Strategy.FULL_DUPLICATION)
         table = cct_from_events(rec.events(), rec.contexts.table())
         assert table, "expected ctx-tagged events to produce contexts"
@@ -162,7 +161,7 @@ class TestContextBitIdentity:
     def test_context_keyed_streams_identical_across_engines(self, workload):
         outcomes = []
         for engine in ENGINES:
-            rec = CompactingRecorder(context=True)
+            rec = TelemetryRecorder(suppress=True, context=True)
             result = _run_with(rec, workload, Strategy.FULL_DUPLICATION,
                                engine=engine)
             outcomes.append((
@@ -175,7 +174,7 @@ class TestContextBitIdentity:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_context_off_stream_has_no_ctx_annotations(self):
-        rec = CompactingRecorder()
+        rec = TelemetryRecorder(suppress=True)
         _run_with(rec, "compress", Strategy.FULL_DUPLICATION)
         for event in rec.events():
             assert all(key != "ctx" for key, _ in event.data)
@@ -183,8 +182,8 @@ class TestContextBitIdentity:
     def test_context_key_splits_windows_per_context(self):
         """Same function sampled from two callers must not share a
         suppression window when context-keyed."""
-        keyed = CompactingRecorder(context=True)
-        plain = CompactingRecorder()
+        keyed = TelemetryRecorder(suppress=True, context=True)
+        plain = TelemetryRecorder(suppress=True)
         for rec in (keyed, plain):
             _run_with(rec, "compress", Strategy.FULL_DUPLICATION,
                       interval=10)
@@ -272,7 +271,7 @@ class TestStreamingRoundTrip:
         result = _run_with(streamed, workload, strategy)
         streamed.close()
 
-        reference = CompactingRecorder(context=True)
+        reference = TelemetryRecorder(suppress=True, context=True)
         ref_result = _run_with(reference, workload, strategy)
 
         assert result.value == ref_result.value
@@ -332,105 +331,95 @@ class TestStreamingRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# crash tolerance: kill mid-run, read back a clean prefix
+# crash tolerance: a spool cut where a killed writer can leave it
 
-_CHILD_SCRIPT = """
-import sys
-from repro.harness.experiment import make_instrumentations
-from repro.sampling import CounterTrigger, SamplingFramework, Strategy
-from repro.telemetry import StreamingRecorder
-from repro.vm import run_program
-from repro.workloads import get_workload
 
-spool, scale = sys.argv[1], int(sys.argv[2])
-program = get_workload("javac").compile(scale)
-transformed = SamplingFramework(Strategy.FULL_DUPLICATION).transform(
-    program, make_instrumentations(("call-edge",))
-)
-rec = StreamingRecorder(spool, epoch_events=32)
-run_program(transformed, trigger=CounterTrigger(20), recorder=rec)
-rec.sync_metrics()
-rec.close()
-"""
+def _cut_points(spool, seed):
+    """Every place a writer killed mid-run can leave its segments:
+    ``(segment index, byte offset, inside_line)`` for each epoch-line
+    boundary, plus three seeded offsets strictly inside each line (a
+    fragment that cannot parse, because it lacks at least the closing
+    brace)."""
+    rng = random.Random(seed)
+    points = []
+    for index, segment in enumerate(sorted(spool.glob("segment-*.jsonl"))):
+        raw = segment.read_bytes()
+        start = 0
+        points.append((index, 0, False))
+        while start < len(raw):
+            end = raw.index(b"\n", start)
+            for offset in sorted(rng.sample(range(start + 1, end), 3)):
+                points.append((index, offset, True))
+            start = end + 1
+            points.append((index, start, False))
+    return points
+
+
+def _cut(spool, target, index, offset):
+    """Rebuild *target* as *spool* would look with its writer killed
+    after *offset* bytes of segment *index*: a live manifest, the
+    earlier segments whole, that segment cut, no later segments."""
+    if target.exists():
+        shutil.rmtree(target)
+    target.mkdir()
+    manifest = json.loads((spool / MANIFEST_NAME).read_text())
+    manifest["status"] = "live"
+    manifest.pop("final", None)
+    (target / MANIFEST_NAME).write_text(json.dumps(manifest))
+    segments = sorted(spool.glob("segment-*.jsonl"))
+    for segment in segments[:index]:
+        shutil.copyfile(segment, target / segment.name)
+    cut = segments[index]
+    (target / cut.name).write_bytes(cut.read_bytes()[:offset])
 
 
 class TestCrashTolerance:
-    def test_killed_run_reads_back_as_exact_prefix(self, tmp_path):
-        """SIGKILL a streaming child after epochs have landed: the
-        spool must read back (possibly truncated), and its events must
-        be a bit-equal prefix of the same deterministic run executed to
-        completion."""
-        scale = 800
+    #: (workload, sample interval, events per epoch); both spools span
+    #: more than 16 epochs, so the cuts also land after a second
+    #: metrics keyframe.
+    CASES = (("osr", 20, 32), ("compress", 100, 24))
+
+    @pytest.mark.parametrize("workload,interval,epoch_events", CASES)
+    def test_cut_spool_reads_back_as_exact_prefix(
+        self, tmp_path, workload, interval, epoch_events
+    ):
+        """Cut a finished spool at every epoch boundary and at seeded
+        offsets inside each line: every cut reads back as a live spool
+        whose records are a bit-equal prefix of the full run's, with
+        ``truncated`` set exactly when the cut splits a line, snapshots
+        that still merge, counters that never exceed the full run, and
+        a stream that reconciles once flagged as truncated."""
         spool = tmp_path / "spool"
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        child = subprocess.Popen(
-            [sys.executable, "-c", _CHILD_SCRIPT, str(spool), str(scale)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                if child.poll() is not None:
-                    break
-                try:
-                    if len(SpoolReader(spool).epochs) >= 2:
-                        break
-                except ReproError:
-                    pass  # spool not created yet
-                time.sleep(0.02)
-            killed = child.poll() is None
-            if killed:
-                child.kill()
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:  # pragma: no cover - cleanup
-                child.kill()
-        if not killed:  # pragma: no cover - machine too fast to race
-            pytest.skip("child finished before two epochs landed")
-
-        reader = SpoolReader(spool)
-        assert not reader.closed
-        killed_records = reader.records()
-        assert killed_records, "flushed epochs must survive the kill"
-
-        # Deterministic reference: the identical configuration, run to
-        # completion in-process. Streamed to its own spool, because the
-        # spool is eviction-free where the in-memory ring is not — the
-        # full run's early events survive only there.
-        reference = StreamingRecorder(tmp_path / "reference",
-                                      epoch_events=32)
-        stats = _run_with(reference, "javac", Strategy.FULL_DUPLICATION,
-                          interval=20, scale=scale).stats
-        reference.close()
-        full = SpoolReader(tmp_path / "reference")
-        # The spool's record stream is ordered by window *completion*
-        # (a suppression window still open at the kill appears only in
-        # the full run), so the prefix guarantee holds on records.
+        recorder = StreamingRecorder(spool, epoch_events=epoch_events)
+        stats = _run_with(
+            recorder, workload, Strategy.FULL_DUPLICATION, interval=interval
+        ).stats
+        recorder.close()
+        full = SpoolReader(spool)
+        assert len(full.epochs) > 16
         full_records = full.records()
-        assert len(killed_records) <= len(full_records)
-        assert full_records[:len(killed_records)] == list(killed_records)
-
-        # The prefix still merges: every reconstructed snapshot is
-        # internally consistent and counters never exceed the full run.
-        snapshots = reader.metrics_snapshots()
-        assert len(snapshots) == len(reader.epochs)
         final_full = full.final_metrics()
-        for key, payload in reader.final_metrics().items():
-            if payload.get("type") == "counter" and key in final_full:
-                assert payload["value"] <= final_full[key]["value"]
 
-        # A truncated read-back reconciles once flagged as such.
-        verdict = reconcile_stream(stats, reader.records(), truncated=True)
-        assert verdict.ok and verdict.truncated
+        points = _cut_points(spool, seed=len(full.epochs))
+        assert sum(inside for _, _, inside in points) == 3 * len(full.epochs)
+        target = tmp_path / "cut"
+        for index, offset, inside_line in points:
+            _cut(spool, target, index, offset)
+            reader = SpoolReader(target)
+            assert not reader.closed
+            assert reader.truncated == inside_line
+            records = reader.records()
+            assert full_records[:len(records)] == records
+            snapshots = reader.metrics_snapshots()
+            assert len(snapshots) == len(reader.epochs)
+            for key, payload in reader.final_metrics().items():
+                if payload["type"] == "counter":
+                    assert payload["value"] <= final_full[key]["value"]
+            verdict = reconcile_stream(stats, records, truncated=True)
+            assert verdict.ok and verdict.truncated, verdict.violations
 
     def test_reconcile_stream_truncated_waives_lower_bound(self):
-        rec = CompactingRecorder(context=True)
+        rec = TelemetryRecorder(suppress=True, context=True)
         result = _run_with(rec, "compress", Strategy.FULL_DUPLICATION)
         records = rec.records()
         half = records[: len(records) // 2]

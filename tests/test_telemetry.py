@@ -39,12 +39,12 @@ from repro.telemetry import (
     RunManifest,
     TelemetryRecorder,
     aggregate_manifests,
+    compact_jsonl_to_records,
     event_from_dict,
     events_to_chrome_trace,
+    events_to_jsonl,
     load_manifest,
     metric_key,
-    read_jsonl,
-    write_jsonl,
 )
 from repro.vm import ExecStats, run_program
 from repro.workloads import all_workloads, get_workload
@@ -414,10 +414,11 @@ class TestExporters:
         run_program(transformed, trigger=CounterTrigger(100), recorder=rec)
         return rec.events()
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_jsonl_round_trip(self):
         events = self._events()
-        path = write_jsonl(events, tmp_path / "trace.jsonl")
-        assert tuple(read_jsonl(path)) == events
+        assert tuple(compact_jsonl_to_records(events_to_jsonl(events))) == (
+            events
+        )
 
     def test_chrome_trace_shape(self):
         events = self._events()
@@ -466,7 +467,7 @@ class TestCli:
                    "--interval", "100", "--format", "jsonl",
                    "--out", str(out)])
         assert rc == 0
-        events = read_jsonl(out)
+        events = compact_jsonl_to_records(out.read_text())
         assert events and all(e.kind in EVENT_KINDS for e in events)
 
     def test_metrics_prints_sample_counters(self, capsys):
