@@ -238,6 +238,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_adaptive(args: argparse.Namespace) -> int:
+    if args.interval < 1:
+        raise ReproError(f"sample interval must be >= 1, got {args.interval}")
     program = compile_baseline(_read_source(args.file))
     controller = AdaptiveController(interval=args.interval)
     outcome = controller.optimize(program)
@@ -825,7 +827,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             # (measured per-function checks over the certified bound)
             # surfaces as a HarnessError and fails the command.
             runner = ExperimentRunner(
-                telemetry=True, cache=False, engine=args.engine, plan=plan,
+                telemetry=True, cache=False, engine=args.engine
             )
             spec = RunSpec(
                 workload=entry["label"],
@@ -834,6 +836,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 trigger="counter",
                 interval=args.interval,
                 scale=args.scale,
+                plan=plan.key(),
             )
             try:
                 result = runner.run(spec)
@@ -915,6 +918,8 @@ def cmd_ledger(args: argparse.Namespace) -> int:
         print(f"{len(records)} record(s) in {ledger.path}")
         return 0
     # action == "check"
+    if args.window < 1:
+        raise ReproError(f"ledger window must be >= 1, got {args.window}")
     report = ledger.check(window=args.window, noise_pct=args.noise)
     if args.json:
         json.dump(

@@ -324,7 +324,6 @@ class ExperimentRunner:
         profile: bool = False,
         profile_interval: int = DEFAULT_PROFILE_INTERVAL,
         ledger: Union[PerfLedger, str, bool, None] = None,
-        plan: Union["object", None] = None,
         stream: Union[str, "os.PathLike", None] = None,
     ):
         if telemetry_capacity < 1:
@@ -346,7 +345,6 @@ class ExperimentRunner:
         self.profile = bool(profile)
         self.profile_interval = profile_interval
         self.ledger = resolve_ledger(ledger)
-        self.plan = _plan_key(plan)
         self.stream = None if stream is None else str(stream)
         if self.stream is not None:
             # Streaming rides on the suppressing recorder, so it implies
@@ -505,13 +503,6 @@ class ExperimentRunner:
             self.stream, f"{safe.strip('-')}-{cell_seed(spec):08x}"
         )
 
-    def _apply_plan(self, spec: RunSpec) -> RunSpec:
-        """Fold the runner-level strategy plan into *spec* (a spec's own
-        plan always wins; a planless runner leaves specs untouched)."""
-        if self.plan is not None and spec.plan is None:
-            return replace(spec, plan=self.plan)
-        return spec
-
     def run(self, spec: RunSpec) -> RunResult:
         """Transform per *spec*, execute, verify, and measure.
 
@@ -599,7 +590,6 @@ class ExperimentRunner:
     def _run(self, spec: RunSpec, families: Dict[tuple, _Family]) -> RunResult:
         """:meth:`run`, with *spec*'s family looked up in (and added
         to) the batch map *families*."""
-        spec = self._apply_plan(spec)
         memoized = self._run_memo.get(spec)
         if memoized is not None:
             self.memo_hits += 1
@@ -870,7 +860,6 @@ class ExperimentRunner:
         and audited program, and the pool runs a family's cells in one
         task. The shared programs are dropped when the batch returns.
         """
-        specs = [self._apply_plan(spec) for spec in specs]
         jobs = effective_jobs(jobs if jobs is not None else self.jobs)
         pending: List[RunSpec] = []
         seen = set()
@@ -1203,22 +1192,6 @@ def _plan_section(spec: RunSpec) -> Dict[str, object]:
         "assignments": assignments,
         "strategies": counts,
     }
-
-
-def _plan_key(
-    plan: Union["object", None]
-) -> Optional[Tuple[Tuple[str, str], ...]]:
-    """Normalize a runner-level plan argument to ``RunSpec.plan`` form:
-    a StrategyPlan (via ``.key()``), a mapping, an iterable of pairs,
-    or None."""
-    if plan is None:
-        return None
-    key = getattr(plan, "key", None)
-    if callable(key):
-        plan = key()
-    if isinstance(plan, dict):
-        plan = plan.items()
-    return tuple(sorted((str(f), str(s)) for f, s in plan))
 
 
 def _resolve_cache(

@@ -1,12 +1,13 @@
 """Compiled-tier engine: whole-function transpilation to Python source.
 
 The third (and fastest) execution tier.  Where the fast engine
-(:mod:`repro.vm.engine`) compiles each *segment* into one closure or
-generated superinstruction and dispatches through a handler list, this
-tier lowers an entire verified :class:`Function` into ONE generated
-Python function — a *region* — and dispatches between its extended
-basic blocks with a plain integer label and a balanced comparison tree,
-never returning to the driver loop for in-region control flow:
+(:mod:`repro.vm.engine`) compiles each *segment* into one generated
+function (or, for a breaker, one closure) and dispatches through a
+handler list, this tier lowers an entire verified :class:`Function`
+into ONE generated Python function — a *region* — and dispatches
+between its extended basic blocks with a plain integer label and a
+balanced comparison tree, never returning to the driver loop for
+in-region control flow:
 
 * **Guest locals become real Python locals.**  ``LOAD 3`` compiles to a
   mention of the Python local ``l3``; ``STORE 3`` to ``l3 = <expr>``.
@@ -20,10 +21,12 @@ never returning to the driver loop for in-region control flow:
   single consistent stack depth for every reachable pc, so each block
   entry binds the stack to position-named Python locals ``s0..s{d-1}``
   and straight-line code simulates pushes and pops at compile time,
-  exactly like the fast engine's superinstructions — but across whole
-  blocks, branches included.  The frame's real ``stack`` list is empty
-  while the region runs and is refilled at the same environment
-  barriers.
+  exactly like the fast engine's segments — but across whole blocks,
+  branches included.  The plain ops are spelled by the emitter the
+  two tiers share (:func:`repro.vm.engine._plain_emitter`), with
+  ``l{k}`` locals and traps that write the frame back first.  The
+  frame's real ``stack`` list is empty while the region runs and is
+  refilled at the same environment barriers.
 
 * **Eligible leaf callees are outlined framelessly.**  A static CALL
   whose callee is a *leaf* — an entry YIELDPOINT followed only by
@@ -45,7 +48,8 @@ never returning to the driver loop for in-region control flow:
   events carry the same cycles and pcs; ``OverheadProfiler`` boundaries
   fire at the same observer ops (plain segment heads attribute to the
   ``compiled`` component instead of ``dispatch``); TRY/ENDTRY/THROW
-  unwinding shares the frame handler-record representation, and
+  share the frame handler-record representation and the one unwinder
+  (``FastEngine._throw``), and
   LOADFN/REPLACEFN/OSRPOINT retirement works exactly as in the fast
   engine because compiled code is keyed per Function object —
   replacement simply compiles the new Function fresh.
@@ -80,17 +84,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bytecode.function import Function
 from repro.bytecode.verifier import verify_function
-from repro.errors import (
-    BytecodeError,
-    FuelExhaustedError,
-    StackOverflowError,
-    VerificationError,
-    VMTrap,
-)
+from repro.errors import BytecodeError, VerificationError
 from repro.vm.engine import (
     FastEngine,
     _VEntry,
-    _ARITH_SYM,
+    _plain_emitter,
     _CMP_SYM,
     _CMP_NSYM,
     _BRANCHES,
@@ -106,8 +104,6 @@ from repro.vm.engine import (
     _GUARDED_INSTR, _LOADFN, _REPLACEFN, _OSRPOINT, _TRY, _ENDTRY,
     _THROW,
 )
-from repro.vm.frame import Frame
-from repro.vm.values import RArray, RObject
 
 #: Functions longer than this fall back (compile time, not correctness).
 _MAX_CODE_LEN = 4000
@@ -145,7 +141,8 @@ _REGION_CODE_CACHE: Dict[str, object] = {}
 #: re-lower for free, and every VM over the same program shares one
 #: lowering.  Extras are stored as *specs* — ``("callee", pc)``,
 #: ``("arg", pc)``, ``("class", name)``, ``("cell",)``, ``("self",)``
-#: — and rebound to live objects per engine by ``_bind_extras``.
+#: — and rebound to live objects per engine by
+#: ``FastEngine._namespace``.
 _LOWER_CACHE: Dict[tuple, Optional[Tuple[str, Dict[str, tuple], List[int]]]] = {}
 
 #: Every op the lowerer can express.  This is the full current ISA; the
@@ -192,6 +189,46 @@ _LEAF_CACHE: Dict[tuple, Optional[Tuple[str, Dict[str, tuple]]]] = {}
 _I4 = "    "
 
 
+def _render_dispatch(
+    src: List[str], arm_lines: List[List[str]], hot_zero: bool
+) -> None:
+    """Append the body of a region's or leaf's ``while True:`` loop: a
+    balanced comparison tree over the label ``_L`` whose leaves hold
+    up to ``_LEAF_ARMS`` linear arms.  With *hot_zero*, arm 0 is tested
+    first instead of sitting at the end of the tree's leftmost path."""
+
+    def render(lo: int, hi: int, ind: str) -> None:
+        if hi - lo == 1:
+            for ln in arm_lines[lo]:
+                src.append(ind + ln)
+            return
+        if hi - lo <= _LEAF_ARMS:
+            for k in range(lo, hi):
+                if k == lo:
+                    src.append(ind + f"if _L == {k}:")
+                elif k == hi - 1:
+                    src.append(ind + "else:")
+                else:
+                    src.append(ind + f"elif _L == {k}:")
+                for ln in arm_lines[k]:
+                    src.append(ind + _I4 + ln)
+            return
+        mid = (lo + hi) // 2
+        src.append(ind + f"if _L < {mid}:")
+        render(lo, mid, ind + _I4)
+        src.append(ind + "else:")
+        render(mid, hi, ind + _I4)
+
+    if hot_zero and len(arm_lines) > 1:
+        src.append("        if _L == 0:")
+        for ln in arm_lines[0]:
+            src.append("            " + ln)
+        src.append("        else:")
+        render(1, len(arm_lines), "            ")
+    else:
+        render(0, len(arm_lines), "        ")
+
+
 class _Bailout(Exception):
     """Raised by the lowerer when a function cannot be proven
     equivalent under region compilation; the engine falls back to the
@@ -205,7 +242,7 @@ class _Lowerer:
     ``_r(stack, locals_, _L=0)`` plus one ``_e<slot>`` thunk per
     non-zero entry slot, ``extras_spec`` maps per-site global names
     (callees, classes, actions, inline-cache cells) to rebindable
-    specs (see ``CompiledEngine._bind_extras``), and ``entry_sorted``
+    specs (see ``FastEngine._namespace``), and ``entry_sorted``
     lists entry pcs in slot order (pc 0 first).  The whole triple is
     deterministic in the lowering key, which is what makes
     ``_LOWER_CACHE`` sound.
@@ -562,6 +599,14 @@ class _Lowerer:
             l-vars and s-vars (the barrier may have mutated either)."""
             out.extend(self._reload(bind, len(vstack)))
 
+        plain = _plain_emitter(
+            fn_name, "l{}", self.extras, vstack, vpop, atomize, invalidate,
+            newtmp, E,
+            lambda line: out.extend(
+                self._raise_lines(ind + _I4, vstack, line)
+            ),
+        )
+
         p = start
         first = True
         while True:
@@ -581,198 +626,12 @@ class _Lowerer:
             op = ops[p]
             arg = ins.arg
 
-            # ---- plain straight-line ops (fast-engine spellings) ----
-            if op == _LOAD:
-                vstack.append(
-                    _VEntry(f"l{arg}", frozenset((arg,)), atom=True)
-                )
-            elif op == _PUSH:
-                vstack.append(_VEntry(f"({arg!r})", atom=True))
-            elif op == _STORE:
-                ent = vpop()
-                invalidate(arg)
-                E(f"l{arg} = {ent.expr}")
-            elif op in _ARITH_SYM:
-                b = vpop()
-                a = vpop()
-                vstack.append(
-                    _VEntry(
-                        f"({a.expr} {_ARITH_SYM[op]} {b.expr})",
-                        a.slots | b.slots,
-                    )
-                )
-            elif op in _CMP_SYM:
-                b = vpop()
-                a = vpop()
-                vstack.append(
-                    _VEntry(
-                        f"(1 if {a.expr} {_CMP_SYM[op]} {b.expr} else 0)",
-                        a.slots | b.slots,
-                        cmp=(op, a.expr, b.expr),
-                    )
-                )
-            elif op == _SHL or op == _SHR:
-                b = vpop()
-                a = vpop()
-                sym = "<<" if op == _SHL else ">>"
-                vstack.append(
-                    _VEntry(
-                        f"({a.expr} {sym} ({b.expr} & 63))",
-                        a.slots | b.slots,
-                    )
-                )
-            elif op == _DIV or op == _MOD:
-                b = atomize(vpop())
-                msg = "division by zero" if op == _DIV else "modulo by zero"
-                E(f"if {b.expr} == 0:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap({msg!r}, {fn_name!r}, {p})",
-                    )
-                )
-                a = vpop()
-                sym = "//" if op == _DIV else "%"
-                vstack.append(
-                    _VEntry(f"({a.expr} {sym} {b.expr})", a.slots | b.slots)
-                )
-            elif op == _NEG:
-                a = vpop()
-                vstack.append(_VEntry(f"(-{a.expr})", a.slots))
-            elif op == _NOT:
-                a = vpop()
-                vstack.append(_VEntry(f"(1 if {a.expr} == 0 else 0)", a.slots))
-            elif op == _DUP:
-                ent = atomize(vpop())
-                vstack.append(ent)
-                vstack.append(_VEntry(ent.expr, ent.slots, atom=True))
-            elif op == _POP:
-                vpop()
-            elif op == _SWAP:
-                x1 = vpop()
-                x2 = vpop()
-                vstack.append(x1)
-                vstack.append(x2)
-            elif op == _NOP:
-                pass
-            elif op == _GETFIELD:
-                cell = f"_c{p}"
-                self.extras[cell] = ("cell",)
-                r = atomize(vpop())
-                t = newtmp()
-                E(f"if {r.expr}.__class__ is _RObject:")
-                E(f"    _k = {r.expr}.klass")
-                E(f"    if _k is {cell}[0]:")
-                E(f"        {t} = {r.expr}.slots[{cell}[1]]")
-                E("    else:")
-                E(f"        _sl = _k.slot_of({arg[1]!r})")
-                E(f"        {cell}[0] = _k")
-                E(f"        {cell}[1] = _sl")
-                E(f"        {t} = {r.expr}.slots[_sl]")
-                E("else:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('GETFIELD on non-object %r'"
-                        f" % ({r.expr},), {fn_name!r}, {p})",
-                    )
-                )
-                vstack.append(_VEntry(t, atom=True))
-            elif op == _PUTFIELD:
-                cell = f"_c{p}"
-                self.extras[cell] = ("cell",)
-                v = vpop()
-                r = atomize(vpop())
-                E(f"if {r.expr}.__class__ is _RObject:")
-                E(f"    _k = {r.expr}.klass")
-                E(f"    if _k is {cell}[0]:")
-                E(f"        {r.expr}.slots[{cell}[1]] = {v.expr}")
-                E("    else:")
-                E(f"        _sl = _k.slot_of({arg[1]!r})")
-                E(f"        {cell}[0] = _k")
-                E(f"        {cell}[1] = _sl")
-                E(f"        {r.expr}.slots[_sl] = {v.expr}")
-                E("else:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('PUTFIELD on non-object %r'"
-                        f" % ({r.expr},), {fn_name!r}, {p})",
-                    )
-                )
-            elif op == _ALOAD:
-                i = atomize(vpop())
-                r = atomize(vpop())
-                t = newtmp()
-                E(f"if {r.expr}.__class__ is not _RArray:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('ALOAD on non-array %r'"
-                        f" % ({r.expr},), {fn_name!r}, {p})",
-                    )
-                )
-                E("try:")
-                E(f"    {t} = {r.expr}.slots[{i.expr}]")
-                E("except IndexError:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('array index %s out of range"
-                        f" [0, %s)' % ({i.expr}, len({r.expr})),"
-                        f" {fn_name!r}, {p}) from None",
-                    )
-                )
-                vstack.append(_VEntry(t, atom=True))
-            elif op == _ASTORE:
-                v = vpop()
-                i = atomize(vpop())
-                r = atomize(vpop())
-                E(f"if {r.expr}.__class__ is not _RArray:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('ASTORE on non-array %r'"
-                        f" % ({r.expr},), {fn_name!r}, {p})",
-                    )
-                )
-                E("try:")
-                E(f"    {r.expr}.slots[{i.expr}] = {v.expr}")
-                E("except IndexError:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('array index %s out of range"
-                        f" [0, %s)' % ({i.expr}, len({r.expr})),"
-                        f" {fn_name!r}, {p}) from None",
-                    )
-                )
-            elif op == _ALEN:
-                r = atomize(vpop())
-                E(f"if {r.expr}.__class__ is not _RArray:")
-                out.extend(
-                    self._raise_lines(
-                        ind + _I4,
-                        vstack,
-                        f"raise _VMTrap('ALEN on non-array %r'"
-                        f" % ({r.expr},), {fn_name!r}, {p})",
-                    )
-                )
-                # Reach past RArray.__len__ straight to the list.
-                vstack.append(_VEntry(f"len({r.expr}.slots)", r.slots))
-            elif op == _PRINT:
-                ent = vpop()
-                E(f"_out.append({ent.expr})")
+            if plain(op, arg, p):
+                p += 1
+                continue
 
             # ---- control transfers ---------------------------------
-            elif op == _JUMP:
+            if op == _JUMP:
                 pre = []
                 if arg < p + 1:
                     pre = [ind + "_stats.backward_jumps += 1"]
@@ -1348,39 +1207,9 @@ class _Lowerer:
             "    while True:",
         ]
 
-        def render(lo: int, hi: int, ind: str) -> None:
-            if hi - lo == 1:
-                for ln in arm_lines[lo]:
-                    src.append(ind + ln)
-                return
-            if hi - lo <= _LEAF_ARMS:
-                for k in range(lo, hi):
-                    if k == lo:
-                        src.append(ind + f"if _L == {k}:")
-                    elif k == hi - 1:
-                        src.append(ind + "else:")
-                    else:
-                        src.append(ind + f"elif _L == {k}:")
-                    for ln in arm_lines[k]:
-                        src.append(ind + _I4 + ln)
-                return
-            mid = (lo + hi) // 2
-            src.append(ind + f"if _L < {mid}:")
-            render(lo, mid, ind + _I4)
-            src.append(ind + "else:")
-            render(mid, hi, ind + _I4)
-
-        if len(arm_lines) > 1:
-            # Arm 0 is the function-entry arm — the target of every
-            # call — so test it first instead of walking the tree's
-            # leftmost path for the hottest label.
-            src.append("        if _L == 0:")
-            for ln in arm_lines[0]:
-                src.append("            " + ln)
-            src.append("        else:")
-            render(1, len(arm_lines), "            ")
-        else:
-            render(0, len(arm_lines), "        ")
+        # Arm 0 is the function-entry arm — the target of every call —
+        # so it is tested first.
+        _render_dispatch(src, arm_lines, True)
         for pc in self.entry_sorted[1:]:
             slot = self.slot_of[pc]
             lab = self.labels[("e", pc)]
@@ -1489,37 +1318,7 @@ class _LeafLowerer(_Lowerer):
             )
             src.append(f"    _L = {start}")
             src.append("    while True:")
-
-            def render(lo: int, hi: int, ind: str) -> None:
-                if hi - lo == 1:
-                    for ln in arm_lines[lo]:
-                        src.append(ind + ln)
-                    return
-                if hi - lo <= _LEAF_ARMS:
-                    for k in range(lo, hi):
-                        if k == lo:
-                            src.append(ind + f"if _L == {k}:")
-                        elif k == hi - 1:
-                            src.append(ind + "else:")
-                        else:
-                            src.append(ind + f"elif _L == {k}:")
-                        for ln in arm_lines[k]:
-                            src.append(ind + _I4 + ln)
-                    return
-                mid = (lo + hi) // 2
-                src.append(ind + f"if _L < {mid}:")
-                render(lo, mid, ind + _I4)
-                src.append(ind + "else:")
-                render(mid, hi, ind + _I4)
-
-            if len(arm_lines) > 1 and self.order[0] == ("x", 1):
-                src.append("        if _L == 0:")
-                for ln in arm_lines[0]:
-                    src.append("            " + ln)
-                src.append("        else:")
-                render(1, len(arm_lines), "            ")
-            else:
-                render(0, len(arm_lines), "        ")
+            _render_dispatch(src, arm_lines, self.order[0] == ("x", 1))
         return "\n".join(src) + "\n", self.extras
 
 
@@ -1548,7 +1347,7 @@ class CompiledEngine(FastEngine):
         #: Function -> outlined leaf helper bound to this engine.
         self._leaf_fns: Dict[Function, Callable] = {}
         #: Functions whose handlers are region entry points (vs
-        #: fast-tier fallback closures); only these may be invoked
+        #: fast-tier fallback handlers); only these may be invoked
         #: directly by the in-region call fast path.
         self._region_fns: set = set()
         super().__init__(vm)
@@ -1579,7 +1378,7 @@ class CompiledEngine(FastEngine):
     def _direct_entry(self, fn: Function):
         """The callee's slot-0 region handler for the direct-call fast
         path, or ``False`` when the callee fell back to the fast tier
-        (whose per-segment closures speak the index protocol and must
+        (whose per-segment handlers speak the index protocol and must
         go through the driver)."""
         handlers = self._code_for(fn)
         return handlers[0] if fn in self._region_fns else False
@@ -1632,23 +1431,7 @@ class CompiledEngine(FastEngine):
         if co is None:
             co = compile(src, "<leaf>", "exec")
             _REGION_CODE_CACHE[src] = co
-        vm = self.vm
-        ns: Dict[str, object] = {
-            "_stats": vm.stats,
-            "_eng": self,
-            "_vm": vm,
-            "_out": vm.output,
-            "_FNew": object.__new__,
-            "_VMTrap": VMTrap,
-            "_RObject": RObject,
-            "_RArray": RArray,
-            "_FuelErr": FuelExhaustedError,
-        }
-        if vm.recorder is not None:
-            ns["_rec"] = vm.recorder
-        if vm.stats.opcode_counts is not None:
-            ns["_oc"] = vm.stats.opcode_counts
-        ns.update(self._bind_extras(fn, spec))
+        ns = self._namespace(fn, spec)
         exec(co, ns)
         leaf = ns["_lf"]
         self._leaf_fns[fn] = leaf
@@ -1762,33 +1545,6 @@ class CompiledEngine(FastEngine):
             self._flags_key_cached = key
         return key
 
-    def _bind_extras(
-        self, fn: Function, spec: Dict[str, tuple]
-    ) -> Dict[str, object]:
-        """Rebind cached extras specs to this engine's live objects."""
-        program = self.vm.program
-        code = fn.code
-        out: Dict[str, object] = {}
-        for name, s in spec.items():
-            kind = s[0]
-            if kind == "cell":
-                out[name] = [None, 0]
-            elif kind == "dcell":
-                out[name] = [None]
-            elif kind == "arg":
-                out[name] = code[s[1]].arg
-            elif kind == "callee":
-                out[name] = program.functions[code[s[1]].arg]
-            elif kind == "leaf":
-                out[name] = self._leaf_entry(
-                    program.functions[code[s[1]].arg]
-                )
-            elif kind == "class":
-                out[name] = program.classes[s[1]]
-            else:  # "self"
-                out[name] = fn
-        return out
-
     def _lower(self, fn: Function) -> List[Callable]:
         key = self._lower_key(fn)
         if key in _LOWER_CACHE:
@@ -1809,65 +1565,13 @@ class CompiledEngine(FastEngine):
         if co is None:
             co = compile(src, "<region>", "exec")
             _REGION_CODE_CACHE[src] = co
-        vm = self.vm
-        ns: Dict[str, object] = {
-            "_stats": vm.stats,
-            "_eng": self,
-            "_vm": vm,
-            "_out": vm.output,
-            "_poll": vm.trigger.poll,
-            "_functions": vm.program.functions,
-            "_Frame": Frame,
-            "_FNew": object.__new__,
-            "_VMTrap": VMTrap,
-            "_RObject": RObject,
-            "_RArray": RArray,
-            "_SO": StackOverflowError,
-            "_BErr": BytecodeError,
-            "_VErr": VerificationError,
-            "_FuelErr": FuelExhaustedError,
-        }
-        if vm.recorder is not None:
-            ns["_rec"] = vm.recorder
-        if vm.stats.opcode_counts is not None:
-            ns["_oc"] = vm.stats.opcode_counts
-        prof = vm.profiler
-        if prof is not None and prof.enabled:
-            ns["_pb"] = prof.boundary
-            ns["_pcb"] = prof.check_boundary
-            ns["_pgb"] = prof.guarded_boundary
-        ns.update(self._bind_extras(fn, spec))
+        ns = self._namespace(fn, spec)
         exec(co, ns)
         handlers: List[Callable] = [ns["_r"]]
         for i in range(1, len(entry_sorted)):
             handlers.append(ns[f"_e{i}"])
         self._heads[fn] = {pc: i for i, pc in enumerate(entry_sorted)}
         return handlers
-
-    # -- slow-path helpers --------------------------------------------------
-
-    def _throw(self, value, fn_name: str, pc: int) -> int:
-        """Guest THROW unwinding, shared by all regions (mirrors the
-        fast engine's THROW closure).  Returns the rebind sentinel or
-        raises the uncaught-exception trap."""
-        stats = self.vm.stats
-        stats.throws += 1
-        frames = self.frames
-        fr = frames[-1]
-        while True:
-            if fr.handlers:
-                target, depth = fr.handlers.pop()
-                del fr.stack[depth:]
-                fr.stack.append(value)
-                fr.fast_pc = self._heads[fr.function][target]
-                return _REBIND
-            frames.pop()
-            stats.frames_unwound += 1
-            if not frames:
-                raise VMTrap(
-                    f"uncaught guest exception {value!r}", fn_name, pc
-                )
-            fr = frames[-1]
 
     def _note_metric(self, which: str, fn_name: str) -> None:
         rec = self.vm.recorder

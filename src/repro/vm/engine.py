@@ -1,4 +1,4 @@
-"""Closure-threaded fast execution engine.
+"""Segment-threaded fast execution engine.
 
 A second VM engine that pre-compiles each verified :class:`Function`
 into a direct-threaded list of Python callables — one per *segment* of
@@ -6,15 +6,16 @@ instructions — and dispatches with ``i = handlers[i](stack, locals_)``
 instead of the reference interpreter's per-step opcode ladder.  Three
 load-time optimizations carry the speedup:
 
-1. **Whole-segment superinstructions.**  Every segment made of plain
-   straight-line ops is compiled into ONE generated Python function
-   (:func:`_gen_segment_src`): the operand stack is simulated at
-   compile time, so ``LOAD x; LOAD y; ADD; STORE z`` becomes
+1. **Whole-segment superinstructions.**  Every segment of plain ops —
+   single-op segments included — is compiled into ONE generated Python
+   function (:func:`_gen_segment_src`): the operand stack is simulated
+   at compile time, so ``LOAD x; LOAD y; ADD; STORE z`` becomes
    ``locals_[z] = locals_[x] + locals_[y]`` — intermediate values never
    touch the stack list, comparisons feed branches directly, and CALL
-   builds the callee's argument list from expressions.  Segments the
-   generator cannot express (the singleton observer ops below) fall
-   back to one hand-written closure per instruction.
+   builds the callee's argument list from expressions.  The plain ops
+   are spelled once, by :func:`_plain_emitter`, which the compiled tier
+   (:mod:`repro.vm.compiler`) shares.  Only the breakers below get a
+   hand-written closure each.
 
 2. **Segment-level cycle accounting.**  Static instruction/cycle costs
    are charged once at *segment* entry instead of per instruction.  A
@@ -30,9 +31,9 @@ load-time optimizations carry the speedup:
    GC pauses bit-exact (ticks are a monotone function of cumulative
    cycles, and only observer ops can see them).
 
-3. **Monomorphic inline caches.**  GETFIELD/PUTFIELD closures cache the
-   last receiver class and resolved slot index in cells, skipping the
-   ``Klass.slot_of`` dict lookup on the (overwhelmingly common)
+3. **Monomorphic inline caches.**  Every GETFIELD/PUTFIELD site caches
+   the last receiver class and resolved slot index in a cell, skipping
+   the ``Klass.slot_of`` dict lookup on the (overwhelmingly common)
    monomorphic hit path.
 
 The engine produces bit-identical ``ExecStats``, cycles, output and
@@ -179,32 +180,6 @@ _TERMINATORS = frozenset({_JUMP, _JZ, _JNZ, _CALL, _RETURN, _HALT})
 #: land on a handler-list slot.
 _BRANCHES = frozenset({_JUMP, _JZ, _JNZ, _CHECK, _TRY})
 
-#: Non-trapping binary ops a single shared handler shape can execute
-#: (DIV/MOD trap on zero and get their own singleton bodies).
-_FUSABLE_BINOPS = frozenset(
-    {_ADD, _SUB, _MUL, _AND, _OR, _XOR, _SHL, _SHR,
-     _LT, _LE, _GT, _GE, _EQ, _NE}
-)
-
-#: Value-producing semantics for those binops (comparisons push 1/0,
-#: exactly like the reference ladder).
-_BINFN: Dict[int, Callable] = {
-    _ADD: lambda a, b: a + b,
-    _SUB: lambda a, b: a - b,
-    _MUL: lambda a, b: a * b,
-    _AND: lambda a, b: a & b,
-    _OR: lambda a, b: a | b,
-    _XOR: lambda a, b: a ^ b,
-    _SHL: lambda a, b: a << (b & 63),
-    _SHR: lambda a, b: a >> (b & 63),
-    _LT: lambda a, b: 1 if a < b else 0,
-    _LE: lambda a, b: 1 if a <= b else 0,
-    _GT: lambda a, b: 1 if a > b else 0,
-    _GE: lambda a, b: 1 if a >= b else 0,
-    _EQ: lambda a, b: 1 if a == b else 0,
-    _NE: lambda a, b: 1 if a != b else 0,
-}
-
 # Dispatch sentinels returned by handlers instead of a handler index.
 _REBIND = -2   # frame stack changed (call/return): rebind and continue
 _DONE = -3     # thread finished
@@ -214,29 +189,14 @@ _YIELD = -5    # thread yielded to the scheduler
 # --------------------------------------------------------------------------
 # whole-segment source compilation
 #
-# Hand-fused closures cap out near two instructions per dispatch.  For
-# segments made entirely of plain straight-line ops we go further: emit
-# the whole segment as ONE generated Python function, simulating the
-# operand stack at compile time so intermediate values become Python
-# expressions/locals instead of list pushes and pops.  The generated
-# function charges the segment's static cost in its prologue (identical
-# to the closure path) and ends in the terminator's control transfer,
-# so the accounting model — and therefore every observable stat — is
-# unchanged.  Compiled code objects are cached process-wide by source
+# Every segment that is not a breaker is emitted as ONE generated Python
+# function, simulating the operand stack at compile time so intermediate
+# values become Python expressions/locals instead of list pushes and
+# pops.  The generated function charges the segment's static cost in its
+# prologue and ends in the terminator's control transfer, so the
+# accounting model — and therefore every observable stat — matches the
+# reference.  Compiled code objects are cached process-wide by source
 # text: re-running a workload recompiles nothing.
-
-#: Ops a generated segment function can express.  Everything here is
-#: straight-line (breakers never appear inside a segment) and has a
-#: direct Python spelling with reference-identical trap behaviour.
-_GEN_OPS = frozenset(
-    {
-        _PUSH, _POP, _DUP, _SWAP, _LOAD, _STORE,
-        _ADD, _SUB, _MUL, _DIV, _MOD, _AND, _OR, _XOR, _SHL, _SHR,
-        _NEG, _NOT, _LT, _LE, _GT, _GE, _EQ, _NE,
-        _GETFIELD, _PUTFIELD, _ALOAD, _ASTORE, _ALEN, _PRINT, _NOP,
-        _JUMP, _JZ, _JNZ, _CALL, _RETURN, _HALT,
-    }
-)
 
 _CMP_SYM = {_LT: "<", _LE: "<=", _GT: ">", _GE: ">=", _EQ: "==", _NE: "!="}
 _CMP_NSYM = {_LT: ">=", _LE: ">", _GT: "<=", _GE: "<", _EQ: "!=", _NE: "=="}
@@ -264,17 +224,186 @@ class _VEntry:
         self.cmp = cmp
 
 
-def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions):
-    """Emit source for segment ``[s, e)`` as one handler function.
+def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
+                   invalidate, newtmp, emit, trap):
+    """Return ``plain(op, arg, p) -> bool``: the stack-simulating
+    spelling of every plain op, shared by fast-tier segments and
+    compiled-tier regions and leaves.
 
-    Returns ``(src, extras)`` where ``extras`` maps global names the
-    source expects (inline-cache cells, callee Function objects) to
-    fresh per-instance values.  The caller formats the accounting
-    prologue; this emits only the body statements and the final control
-    transfer.  Assumes every op in the segment is in :data:`_GEN_OPS`.
+    The caller owns the compile-time stack (``vstack`` and its
+    ``vpop``/``atomize``/``invalidate``/``newtmp`` helpers) and the
+    output (``emit(line)``).  The two tier-specific parts are passed
+    in: ``local``, the format of a guest local slot (``"locals_[{}]"``
+    in a segment, ``"l{}"`` in a region), and ``trap(raise_line)``,
+    which emits a trap raise one indent deeper than ``emit`` (bare in a
+    segment; after sync, write-back and spill in a region).  Inline
+    cache cells are registered in ``extras`` as ``("cell",)`` specs.
+    ``plain`` emits nothing and returns False for any other op.
+    """
+
+    def plain(op, arg, p):
+        if op == _LOAD:
+            vstack.append(
+                _VEntry(local.format(arg), frozenset((arg,)), atom=True)
+            )
+        elif op == _PUSH:
+            # Parenthesized so attribute access parses: ``(1).__class__``.
+            vstack.append(_VEntry(f"({arg!r})", atom=True))
+        elif op == _STORE:
+            ent = vpop()
+            invalidate(arg)
+            emit(f"{local.format(arg)} = {ent.expr}")
+        elif op in _ARITH_SYM:
+            b = vpop()
+            a = vpop()
+            vstack.append(
+                _VEntry(
+                    f"({a.expr} {_ARITH_SYM[op]} {b.expr})",
+                    a.slots | b.slots,
+                )
+            )
+        elif op in _CMP_SYM:
+            b = vpop()
+            a = vpop()
+            vstack.append(
+                _VEntry(
+                    f"(1 if {a.expr} {_CMP_SYM[op]} {b.expr} else 0)",
+                    a.slots | b.slots,
+                    cmp=(op, a.expr, b.expr),
+                )
+            )
+        elif op == _SHL or op == _SHR:
+            b = vpop()
+            a = vpop()
+            sym = "<<" if op == _SHL else ">>"
+            vstack.append(
+                _VEntry(
+                    f"({a.expr} {sym} ({b.expr} & 63))",
+                    a.slots | b.slots,
+                )
+            )
+        elif op == _DIV or op == _MOD:
+            b = atomize(vpop())
+            msg = "division by zero" if op == _DIV else "modulo by zero"
+            emit(f"if {b.expr} == 0:")
+            trap(f"raise _VMTrap({msg!r}, {fn_name!r}, {p})")
+            a = vpop()
+            sym = "//" if op == _DIV else "%"
+            vstack.append(
+                _VEntry(f"({a.expr} {sym} {b.expr})", a.slots | b.slots)
+            )
+        elif op == _NEG:
+            a = vpop()
+            vstack.append(_VEntry(f"(-{a.expr})", a.slots))
+        elif op == _NOT:
+            a = vpop()
+            vstack.append(_VEntry(f"(1 if {a.expr} == 0 else 0)", a.slots))
+        elif op == _DUP:
+            ent = atomize(vpop())
+            vstack.append(ent)
+            vstack.append(_VEntry(ent.expr, ent.slots, atom=True))
+        elif op == _POP:
+            vpop()
+        elif op == _SWAP:
+            x1 = vpop()
+            x2 = vpop()
+            vstack.append(x1)
+            vstack.append(x2)
+        elif op == _NOP:
+            pass
+        elif op == _GETFIELD:
+            cell = f"_c{p}"
+            extras[cell] = ("cell",)
+            r = atomize(vpop())
+            t = newtmp()
+            emit(f"if {r.expr}.__class__ is _RObject:")
+            emit(f"    _k = {r.expr}.klass")
+            emit(f"    if _k is {cell}[0]:")
+            emit(f"        {t} = {r.expr}.slots[{cell}[1]]")
+            emit("    else:")
+            emit(f"        _sl = _k.slot_of({arg[1]!r})")
+            emit(f"        {cell}[0] = _k")
+            emit(f"        {cell}[1] = _sl")
+            emit(f"        {t} = {r.expr}.slots[_sl]")
+            emit("else:")
+            trap(
+                f"raise _VMTrap('GETFIELD on non-object %r'"
+                f" % ({r.expr},), {fn_name!r}, {p})"
+            )
+            vstack.append(_VEntry(t, atom=True))
+        elif op == _PUTFIELD:
+            cell = f"_c{p}"
+            extras[cell] = ("cell",)
+            v = vpop()
+            r = atomize(vpop())
+            emit(f"if {r.expr}.__class__ is _RObject:")
+            emit(f"    _k = {r.expr}.klass")
+            emit(f"    if _k is {cell}[0]:")
+            emit(f"        {r.expr}.slots[{cell}[1]] = {v.expr}")
+            emit("    else:")
+            emit(f"        _sl = _k.slot_of({arg[1]!r})")
+            emit(f"        {cell}[0] = _k")
+            emit(f"        {cell}[1] = _sl")
+            emit(f"        {r.expr}.slots[_sl] = {v.expr}")
+            emit("else:")
+            trap(
+                f"raise _VMTrap('PUTFIELD on non-object %r'"
+                f" % ({r.expr},), {fn_name!r}, {p})"
+            )
+        elif op == _ALOAD or op == _ASTORE:
+            v = vpop() if op == _ASTORE else None
+            i = atomize(vpop())
+            r = atomize(vpop())
+            name = "ALOAD" if v is None else "ASTORE"
+            emit(f"if {r.expr}.__class__ is not _RArray:")
+            trap(
+                f"raise _VMTrap('{name} on non-array %r'"
+                f" % ({r.expr},), {fn_name!r}, {p})"
+            )
+            emit("try:")
+            if v is None:
+                t = newtmp()
+                emit(f"    {t} = {r.expr}.slots[{i.expr}]")
+            else:
+                emit(f"    {r.expr}.slots[{i.expr}] = {v.expr}")
+            emit("except IndexError:")
+            trap(
+                f"raise _VMTrap('array index %s out of range"
+                f" [0, %s)' % ({i.expr}, len({r.expr})),"
+                f" {fn_name!r}, {p}) from None"
+            )
+            if v is None:
+                vstack.append(_VEntry(t, atom=True))
+        elif op == _ALEN:
+            r = atomize(vpop())
+            emit(f"if {r.expr}.__class__ is not _RArray:")
+            trap(
+                f"raise _VMTrap('ALEN on non-array %r'"
+                f" % ({r.expr},), {fn_name!r}, {p})"
+            )
+            # Reach past RArray.__len__ straight to the list.
+            vstack.append(_VEntry(f"len({r.expr}.slots)", r.slots))
+        elif op == _PRINT:
+            ent = vpop()
+            emit(f"_out.append({ent.expr})")
+        else:
+            return False
+        return True
+
+    return plain
+
+
+def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
+                     dynamic, extras):
+    """Emit the body of segment ``[s, e)``, which holds no breaker, as
+    one handler function.
+
+    The caller formats the accounting prologue; this emits the body
+    statements and the final control transfer, and registers in
+    *extras* the specs of the globals the source expects (inline-cache
+    cells, static callees; see ``FastEngine._namespace``).
     """
     lines: List[str] = []
-    extras: Dict[str, object] = {}
     vstack: List[_VEntry] = []
     ntmp = 0
 
@@ -320,172 +449,20 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions):
         if target < branch_pc + 1:
             lines.append(indent + "_stats.backward_jumps += 1")
 
-    terminated = False
+    plain = _plain_emitter(
+        fn_name, "locals_[{}]", extras, vstack, vpop, atomize, invalidate,
+        newtmp, emit, lambda line: emit("    " + line),
+    )
     for p in range(s, e):
-        ins = code[p]
         op = ops[p]
-        arg = ins.arg
-        if op == _LOAD:
-            vstack.append(
-                _VEntry(f"locals_[{arg}]", frozenset((arg,)), atom=True)
-            )
-        elif op == _PUSH:
-            # Parenthesized so attribute access parses: ``(1).__class__``.
-            vstack.append(_VEntry(f"({arg!r})", atom=True))
-        elif op == _STORE:
-            ent = vpop()
-            invalidate(arg)
-            emit(f"locals_[{arg}] = {ent.expr}")
-        elif op in _ARITH_SYM:
-            b = vpop()
-            a = vpop()
-            vstack.append(
-                _VEntry(
-                    f"({a.expr} {_ARITH_SYM[op]} {b.expr})",
-                    a.slots | b.slots,
-                )
-            )
-        elif op in _CMP_SYM:
-            b = vpop()
-            a = vpop()
-            vstack.append(
-                _VEntry(
-                    f"(1 if {a.expr} {_CMP_SYM[op]} {b.expr} else 0)",
-                    a.slots | b.slots,
-                    cmp=(op, a.expr, b.expr),
-                )
-            )
-        elif op == _SHL or op == _SHR:
-            b = vpop()
-            a = vpop()
-            sym = "<<" if op == _SHL else ">>"
-            vstack.append(
-                _VEntry(
-                    f"({a.expr} {sym} ({b.expr} & 63))",
-                    a.slots | b.slots,
-                )
-            )
-        elif op == _DIV or op == _MOD:
-            b = atomize(vpop())
-            msg = "division by zero" if op == _DIV else "modulo by zero"
-            emit(f"if {b.expr} == 0:")
-            emit(f"    raise _VMTrap({msg!r}, {fn_name!r}, {p})")
-            a = vpop()
-            sym = "//" if op == _DIV else "%"
-            vstack.append(
-                _VEntry(f"({a.expr} {sym} {b.expr})", a.slots | b.slots)
-            )
-        elif op == _NEG:
-            a = vpop()
-            vstack.append(_VEntry(f"(-{a.expr})", a.slots))
-        elif op == _NOT:
-            a = vpop()
-            vstack.append(
-                _VEntry(f"(1 if {a.expr} == 0 else 0)", a.slots)
-            )
-        elif op == _DUP:
-            ent = atomize(vpop())
-            vstack.append(ent)
-            vstack.append(_VEntry(ent.expr, ent.slots, atom=True))
-        elif op == _POP:
-            vpop()
-        elif op == _SWAP:
-            x1 = vpop()
-            x2 = vpop()
-            vstack.append(x1)
-            vstack.append(x2)
-        elif op == _GETFIELD:
-            cell = f"_c{p}"
-            extras[cell] = [None, 0]
-            r = atomize(vpop())
-            t = newtmp()
-            emit(f"if {r.expr}.__class__ is _RObject:")
-            emit(f"    _k = {r.expr}.klass")
-            emit(f"    if _k is {cell}[0]:")
-            emit(f"        {t} = {r.expr}.slots[{cell}[1]]")
-            emit("    else:")
-            emit(f"        _sl = _k.slot_of({arg[1]!r})")
-            emit(f"        {cell}[0] = _k")
-            emit(f"        {cell}[1] = _sl")
-            emit(f"        {t} = {r.expr}.slots[_sl]")
-            emit("else:")
-            emit(
-                f"    raise _VMTrap('GETFIELD on non-object %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
-            )
-            vstack.append(_VEntry(t, atom=True))
-        elif op == _PUTFIELD:
-            cell = f"_c{p}"
-            extras[cell] = [None, 0]
-            v = vpop()
-            r = atomize(vpop())
-            emit(f"if {r.expr}.__class__ is _RObject:")
-            emit(f"    _k = {r.expr}.klass")
-            emit(f"    if _k is {cell}[0]:")
-            emit(f"        {r.expr}.slots[{cell}[1]] = {v.expr}")
-            emit("    else:")
-            emit(f"        _sl = _k.slot_of({arg[1]!r})")
-            emit(f"        {cell}[0] = _k")
-            emit(f"        {cell}[1] = _sl")
-            emit(f"        {r.expr}.slots[_sl] = {v.expr}")
-            emit("else:")
-            emit(
-                f"    raise _VMTrap('PUTFIELD on non-object %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
-            )
-        elif op == _ALOAD:
-            i = atomize(vpop())
-            r = atomize(vpop())
-            t = newtmp()
-            emit(f"if {r.expr}.__class__ is not _RArray:")
-            emit(
-                f"    raise _VMTrap('ALOAD on non-array %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
-            )
-            emit("try:")
-            emit(f"    {t} = {r.expr}.slots[{i.expr}]")
-            emit("except IndexError:")
-            emit(
-                f"    raise _VMTrap('array index %s out of range"
-                f" [0, %s)' % ({i.expr}, len({r.expr})),"
-                f" {fn_name!r}, {p}) from None"
-            )
-            vstack.append(_VEntry(t, atom=True))
-        elif op == _ASTORE:
-            v = vpop()
-            i = atomize(vpop())
-            r = atomize(vpop())
-            emit(f"if {r.expr}.__class__ is not _RArray:")
-            emit(
-                f"    raise _VMTrap('ASTORE on non-array %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
-            )
-            emit("try:")
-            emit(f"    {r.expr}.slots[{i.expr}] = {v.expr}")
-            emit("except IndexError:")
-            emit(
-                f"    raise _VMTrap('array index %s out of range"
-                f" [0, %s)' % ({i.expr}, len({r.expr})),"
-                f" {fn_name!r}, {p}) from None"
-            )
-        elif op == _ALEN:
-            r = atomize(vpop())
-            emit(f"if {r.expr}.__class__ is not _RArray:")
-            emit(
-                f"    raise _VMTrap('ALEN on non-array %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
-            )
-            vstack.append(_VEntry(f"len({r.expr})", r.slots))
-        elif op == _PRINT:
-            ent = vpop()
-            emit(f"_out.append({ent.expr})")
-        elif op == _NOP:
-            pass
-        elif op == _JUMP:
+        arg = code[p].arg
+        if plain(op, arg, p):
+            continue
+        # A terminator: always the segment's last op.
+        if op == _JUMP:
             flush()
             bump_if_backward(arg, p, "    ")
             emit(f"return {head_index[arg]}")
-            terminated = True
         elif op == _JZ or op == _JNZ:
             ent = vpop()
             flush()
@@ -499,43 +476,53 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions):
             bump_if_backward(arg, p, "        ")
             emit(f"    return {head_index[arg]}")
             emit(f"return {nxt}")
-            terminated = True
         elif op == _CALL:
-            callee = functions[arg]
-            nargs = callee.num_params
-            fname = f"_fn{p}"
-            extras[fname] = callee
-            if len(vstack) >= nargs:
-                if nargs:
-                    args_ent = vstack[-nargs:]
-                    del vstack[-nargs:]
-                else:
-                    args_ent = []
+            if dynamic:
+                # Late-bound: the function table can change under
+                # compiled code, so the callee and its arity are looked
+                # up when the call runs.
                 flush()
-                arglist = "[" + ", ".join(a.expr for a in args_ent) + "]"
-            else:
-                flush()
+                emit(f"_callee = _functions.get({arg!r})")
+                emit("if _callee is None:")
+                msg = f"call to unloaded function {arg!r}"
+                emit(f"    raise _VMTrap({msg!r}, {fn_name!r}, {p})")
+                callee_ref = "_callee"
+                callee_name = "_callee.name"
+                nargs = "_callee.num_params"
                 arglist = None
+            else:
+                callee = functions[arg]
+                nargs = callee.num_params
+                callee_ref = f"_fn{p}"
+                extras[callee_ref] = ("callee", p)
+                callee_name = repr(callee.name)
+                if len(vstack) >= nargs:
+                    args_ent = vstack[len(vstack) - nargs:]
+                    del vstack[len(vstack) - nargs:]
+                    flush()
+                    arglist = (
+                        "[" + ", ".join(a.expr for a in args_ent) + "]"
+                    )
+                else:
+                    flush()
+                    arglist = None
             emit("_stats.calls += 1")
             emit("_fs = _eng.frames")
             emit("if len(_fs) >= _md:")
             emit(
                 f"    raise _SO('call depth %d in %s'"
-                f" % (len(_fs), {callee.name!r}))"
+                f" % (len(_fs), {callee_name}))"
             )
             if arglist is None:
-                if nargs:
-                    emit(f"_args = stack[-{nargs}:]")
-                    emit(f"del stack[-{nargs}:]")
-                else:
-                    emit("_args = []")
+                emit(f"_n = len(stack) - {nargs}")
+                emit("_args = stack[_n:]")
+                emit("del stack[_n:]")
                 arglist = "_args"
             emit("_fr = _fs[-1]")
             emit(f"_fr.pc = {p + 1}")
             emit(f"_fr.fast_pc = {nxt}")
-            emit(f"_fs.append(_Frame({fname}, {arglist}))")
+            emit(f"_fs.append(_Frame({callee_ref}, {arglist}))")
             emit(f"return {_REBIND}")
-            terminated = True
         elif op == _RETURN:
             r = atomize(vpop())
             emit("_stats.returns += 1")
@@ -548,19 +535,17 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions):
             emit(f"    return {_DONE}")
             emit(f"_fs[-1].stack.append({r.expr})")
             emit(f"return {_REBIND}")
-            terminated = True
         elif op == _HALT:
             emit("_th = _eng.thread")
             emit("_th.done = True")
             emit("_th.result = 0")
             emit(f"return {_DONE}")
-            terminated = True
-        else:  # pragma: no cover - guarded by _GEN_OPS membership
+        else:  # pragma: no cover - breakers never reach the generator
             raise AssertionError(f"op {op} not generatable")
-    if not terminated:
-        flush()
-        emit(f"return {nxt}")
-    return "\n".join(lines), extras
+        return "\n".join(lines)
+    flush()
+    emit(f"return {nxt}")
+    return "\n".join(lines)
 
 
 class FastEngine:
@@ -642,7 +627,7 @@ class FastEngine:
                 continue
             return i == _YIELD
 
-    # -- slow-path helpers (rare; kept out of the closures) -----------------
+    # -- slow-path helpers (rare; kept out of the handlers) -----------------
 
     def _ticks(self) -> None:
         """Process virtual-timer ticks after cycles crossed the horizon."""
@@ -672,6 +657,31 @@ class FastEngine:
             f"instruction budget of {self.vm.fuel} exhausted in "
             f"{frame.function.name}@{pc}"
         )
+
+    def _throw(self, value, fn_name: str, pc: int) -> int:
+        """Guest THROW, shared by the THROW closure and compiled
+        regions: unwind to the innermost handler record and return the
+        rebind sentinel, or raise the uncaught-exception trap."""
+        stats = self.vm.stats
+        stats.throws += 1
+        frames = self.frames
+        fr = frames[-1]
+        while True:
+            if fr.handlers:
+                target, depth = fr.handlers.pop()
+                del fr.stack[depth:]
+                fr.stack.append(value)
+                # Handler targets are branch targets, so they always
+                # lead a segment.
+                fr.fast_pc = self._heads[fr.function][target]
+                return _REBIND
+            frames.pop()
+            stats.frames_unwound += 1
+            if not frames:
+                raise VMTrap(
+                    f"uncaught guest exception {value!r}", fn_name, pc
+                )
+            fr = frames[-1]
 
     # -- compilation --------------------------------------------------------
 
@@ -708,15 +718,72 @@ class FastEngine:
             i = j
         return segments
 
+    def _namespace(self, fn: Function, spec: Dict[str, tuple]) -> dict:
+        """The globals of *fn*'s generated code — fast segments,
+        compiled regions and outlined leaves alike: the run's shared
+        objects plus *fn*'s extras specs bound to live objects.  Hooks
+        exist only when their observer is attached, like every other
+        observability decision."""
+        vm = self.vm
+        ns: Dict[str, object] = {
+            "_stats": vm.stats,
+            "_eng": self,
+            "_vm": vm,
+            "_out": vm.output,
+            "_poll": vm.trigger.poll,
+            "_functions": vm.program.functions,
+            "_fuel": vm.fuel,
+            "_md": vm.max_stack_depth,
+            "_Frame": Frame,
+            "_FNew": object.__new__,
+            "_VMTrap": VMTrap,
+            "_RObject": RObject,
+            "_RArray": RArray,
+            "_SO": StackOverflowError,
+            "_BErr": BytecodeError,
+            "_VErr": VerificationError,
+            "_FuelErr": FuelExhaustedError,
+        }
+        if vm.recorder is not None:
+            ns["_rec"] = vm.recorder
+        if vm.stats.opcode_counts is not None:
+            ns["_oc"] = vm.stats.opcode_counts
+        prof = vm.profiler
+        if prof is not None and prof.enabled:
+            ns["_pb"] = prof.boundary
+            ns["_pcb"] = prof.check_boundary
+            ns["_pgb"] = prof.guarded_boundary
+        program = vm.program
+        code = fn.code
+        for name, s in spec.items():
+            kind = s[0]
+            if kind == "cell":
+                ns[name] = [None, 0]
+            elif kind == "dcell":
+                ns[name] = [None]
+            elif kind == "arg":
+                ns[name] = code[s[1]].arg
+            elif kind == "callee":
+                ns[name] = program.functions[code[s[1]].arg]
+            elif kind == "leaf":  # compiled regions only
+                ns[name] = self._leaf_entry(
+                    program.functions[code[s[1]].arg]
+                )
+            elif kind == "class":
+                ns[name] = program.classes[s[1]]
+            else:  # "self"
+                ns[name] = fn
+        return ns
+
     def _compile(self, fn: Function) -> List[Callable]:
-        """Compile *fn* into its direct-threaded handler list."""
+        """Compile *fn* into its direct-threaded handler list: one slot
+        per segment, a generated function for every plain segment and a
+        closure for every breaker."""
         vm = self.vm
         eng = self
         stats = vm.stats
         fuel = vm.fuel
-        trigger = vm.trigger
-        poll = trigger.poll
-        output = vm.output
+        poll = vm.trigger.poll
         functions = vm.program.functions
         classes = vm.program.classes
         cost = vm.cost_model.cost_table()
@@ -724,50 +791,29 @@ class FastEngine:
         gc_every = vm.cost_model.gc_every_allocs
         gc_pause = vm.cost_model.gc_pause_cycles
         io_base = vm.cost_model.io_base_cost
-        max_depth = vm.max_stack_depth
         fn_name = fn.name
         # Telemetry is a compile-time decision: with no recorder the
         # closures below are built without a single telemetry branch, so
         # the null path costs nothing (docs/OBSERVABILITY.md).
         rec = vm.recorder
-
         dynamic = self._dynamic
 
         code = fn.code
         ops = [int(ins.op) for ins in code]
         segments = self._segments(code, ops)
-        # In dynamic mode CALL cannot be fused into a generated segment:
-        # the superinstruction binds its callee at compile time, but the
-        # function table can change under it.
-        gen_ops = _GEN_OPS if not dynamic else _GEN_OPS - {_CALL}
-
-        # Pass 1: plan each segment and assign handler indices so branch
-        # targets (always segment starts) resolve to handler slots.
-        # Segments made entirely of plain straight-line ops compile to a
-        # single generated function (one slot); everything else — the
-        # singleton breaker/terminator segments, plus any segment with
-        # an op the generator cannot express — falls back to one closure
-        # per instruction.
-        seg_plans: List[Optional[list]] = []
-        head_index: Dict[int, int] = {}
-        idx = 0
-        for (s, e) in segments:
-            head_index[s] = idx
-            if e - s >= 2 and all(ops[p] in gen_ops for p in range(s, e)):
-                seg_plans.append(None)
-                idx += 1
-            else:
-                seg_plans.append(list(range(s, e)))
-                idx += e - s
+        # One handler slot per segment, laid out in code order: branch
+        # targets (always segment starts) resolve to segment ordinals,
+        # and falling off a segment lands on the next one's slot.
+        head_index = {s: i for i, (s, _e) in enumerate(segments)}
         self._heads[fn] = head_index
 
-        def wrap_head(body, SL, SC, PC):
-            """Prepend segment accounting to a cold closure body."""
+        def wrap_head(body, SC, PC):
+            """Prepend segment accounting to a cold breaker body."""
             def h(stack, locals_):
                 ni = stats.instructions
                 if ni >= fuel:
                     eng._fuel_trap(PC)
-                stats.instructions = ni + SL
+                stats.instructions = ni + 1
                 c = stats.cycles + SC
                 stats.cycles = c
                 if c >= eng.next_tick:
@@ -775,363 +821,27 @@ class FastEngine:
                 return body(stack, locals_)
             return h
 
-        def build_singleton(pc_, NXT, HEAD, SL, SC, PC):
-            """Build the closure for one unfused instruction.
+        def build_breaker(pc_, NXT, SC):
+            """Build the closure for one breaker, alone in its segment.
 
-            Hot ops inline the head-accounting block (guarded by the
-            compile-time HEAD flag); cold ops build a headless body and
-            get wrapped by ``wrap_head`` when they lead a segment.
+            The hot ones (YIELDPOINT, CHECK) inline the segment
+            accounting; the cold ones build a body for ``wrap_head``.
             """
-            ins = code[pc_]
             op = ops[pc_]
-            arg = ins.arg
+            arg = code[pc_].arg
+            PCP1 = pc_ + 1
 
-            # --- hot singletons: head accounting inlined -----------------
-            if op == _LOAD:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stack.append(locals_[arg])
-                    return NXT
-                return h
-            if op == _PUSH:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stack.append(arg)
-                    return NXT
-                return h
-            if op == _STORE:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    locals_[arg] = stack.pop()
-                    return NXT
-                return h
-            if op == _JUMP:
-                T = head_index[arg]
-                TB = arg < pc_ + 1
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    if TB:
-                        stats.backward_jumps += 1
-                    return T
-                return h
-            if op in (_JZ, _JNZ):
-                T = head_index[arg]
-                TB = arg < pc_ + 1
-                want_zero = op == _JZ
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    if (stack.pop() == 0) == want_zero:
-                        if TB:
-                            stats.backward_jumps += 1
-                        return T
-                    return NXT
-                return h
-            if op in _FUSABLE_BINOPS:
-                f = _BINFN[op]
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    b = stack.pop()
-                    stack[-1] = f(stack[-1], b)
-                    return NXT
-                return h
-            if op == _DUP:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stack.append(stack[-1])
-                    return NXT
-                return h
-            if op == _POP:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stack.pop()
-                    return NXT
-                return h
-            if op == _CALL and dynamic:
-                PCP1 = pc_ + 1
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    callee = functions.get(arg)
-                    if callee is None:
-                        raise VMTrap(
-                            f"call to unloaded function {arg!r}",
-                            fn_name,
-                            pc_,
-                        )
-                    stats.calls += 1
-                    frames = eng.frames
-                    if len(frames) >= max_depth:
-                        raise StackOverflowError(
-                            f"call depth {len(frames)} in {callee.name}"
-                        )
-                    nargs = callee.num_params
-                    if nargs:
-                        args = stack[-nargs:]
-                        del stack[-nargs:]
-                    else:
-                        args = []
-                    fr = frames[-1]
-                    fr.pc = PCP1
-                    fr.fast_pc = NXT
-                    frames.append(Frame(callee, args))
-                    return _REBIND
-                return h
-            if op == _CALL:
-                callee = functions[arg]
-                callee_name = callee.name
-                nargs = callee.num_params
-                PCP1 = pc_ + 1
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stats.calls += 1
-                    frames = eng.frames
-                    if len(frames) >= max_depth:
-                        raise StackOverflowError(
-                            f"call depth {len(frames)} in {callee_name}"
-                        )
-                    if nargs:
-                        args = stack[-nargs:]
-                        del stack[-nargs:]
-                    else:
-                        args = []
-                    fr = frames[-1]
-                    fr.pc = PCP1
-                    fr.fast_pc = NXT
-                    frames.append(Frame(callee, args))
-                    return _REBIND
-                return h
-            if op == _RETURN:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    stats.returns += 1
-                    result = stack.pop()
-                    frames = eng.frames
-                    frames.pop()
-                    if not frames:
-                        th = eng.thread
-                        th.done = True
-                        th.result = result
-                        return _DONE
-                    frames[-1].stack.append(result)
-                    return _REBIND
-                return h
-            if op == _GETFIELD:
-                field = arg[1]
-                cache_k = None
-                cache_s = 0
-                def h(stack, locals_):
-                    nonlocal cache_k, cache_s
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    ref = stack[-1]
-                    if ref.__class__ is RObject:
-                        k = ref.klass
-                        if k is cache_k:
-                            stack[-1] = ref.slots[cache_s]
-                        else:
-                            s = k.slot_of(field)
-                            cache_k = k
-                            cache_s = s
-                            stack[-1] = ref.slots[s]
-                        return NXT
-                    raise VMTrap(
-                        f"GETFIELD on non-object {ref!r}", fn_name, pc_
-                    )
-                return h
-            if op == _PUTFIELD:
-                field = arg[1]
-                cache_k = None
-                cache_s = 0
-                def h(stack, locals_):
-                    nonlocal cache_k, cache_s
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    value = stack.pop()
-                    ref = stack.pop()
-                    if ref.__class__ is RObject:
-                        k = ref.klass
-                        if k is cache_k:
-                            ref.slots[cache_s] = value
-                        else:
-                            s = k.slot_of(field)
-                            cache_k = k
-                            cache_s = s
-                            ref.slots[s] = value
-                        return NXT
-                    raise VMTrap(
-                        f"PUTFIELD on non-object {ref!r}", fn_name, pc_
-                    )
-                return h
-            if op == _ALOAD:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    idx = stack.pop()
-                    ref = stack[-1]
-                    if ref.__class__ is not RArray:
-                        raise VMTrap(
-                            f"ALOAD on non-array {ref!r}", fn_name, pc_
-                        )
-                    try:
-                        stack[-1] = ref.slots[idx]
-                    except IndexError:
-                        raise VMTrap(
-                            f"array index {idx} out of range "
-                            f"[0, {len(ref)})",
-                            fn_name,
-                            pc_,
-                        ) from None
-                    return NXT
-                return h
-            if op == _ASTORE:
-                def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
-                    value = stack.pop()
-                    idx = stack.pop()
-                    ref = stack.pop()
-                    if ref.__class__ is not RArray:
-                        raise VMTrap(
-                            f"ASTORE on non-array {ref!r}", fn_name, pc_
-                        )
-                    try:
-                        ref.slots[idx] = value
-                    except IndexError:
-                        raise VMTrap(
-                            f"array index {idx} out of range "
-                            f"[0, {len(ref)})",
-                            fn_name,
-                            pc_,
-                        ) from None
-                    return NXT
-                return h
+            # --- hot breakers: segment accounting inlined ----------------
             if op == _YIELDPOINT:
-                PCP1 = pc_ + 1
                 def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
+                    ni = stats.instructions
+                    if ni >= fuel:
+                        eng._fuel_trap(pc_)
+                    stats.instructions = ni + 1
+                    c = stats.cycles + SC
+                    stats.cycles = c
+                    if c >= eng.next_tick:
+                        eng._ticks()
                     stats.yieldpoints_executed += 1
                     if vm._threadswitch_bit:
                         vm._threadswitch_bit = False
@@ -1149,15 +859,14 @@ class FastEngine:
                 if rec is not None:
                     target = arg
                     def h(stack, locals_):
-                        if HEAD:
-                            ni = stats.instructions
-                            if ni >= fuel:
-                                eng._fuel_trap(PC)
-                            stats.instructions = ni + SL
-                            c = stats.cycles + SC
-                            stats.cycles = c
-                            if c >= eng.next_tick:
-                                eng._ticks()
+                        ni = stats.instructions
+                        if ni >= fuel:
+                            eng._fuel_trap(pc_)
+                        stats.instructions = ni + 1
+                        c = stats.cycles + SC
+                        stats.cycles = c
+                        if c >= eng.next_tick:
+                            eng._ticks()
                         stats.checks_executed += 1
                         if poll():
                             stats.checks_taken += 1
@@ -1175,15 +884,14 @@ class FastEngine:
                         return NXT
                     return h
                 def h(stack, locals_):
-                    if HEAD:
-                        ni = stats.instructions
-                        if ni >= fuel:
-                            eng._fuel_trap(PC)
-                        stats.instructions = ni + SL
-                        c = stats.cycles + SC
-                        stats.cycles = c
-                        if c >= eng.next_tick:
-                            eng._ticks()
+                    ni = stats.instructions
+                    if ni >= fuel:
+                        eng._fuel_trap(pc_)
+                    stats.instructions = ni + 1
+                    c = stats.cycles + SC
+                    stats.cycles = c
+                    if c >= eng.next_tick:
+                        eng._ticks()
                     stats.checks_executed += 1
                     if poll():
                         stats.checks_taken += 1
@@ -1192,10 +900,9 @@ class FastEngine:
                     return NXT
                 return h
 
-            # --- cold singletons: headless body + optional wrapper --------
+            # --- cold breakers: body + wrap_head -------------------------
             if op == _GUARDED_INSTR:
                 action = arg
-                PCP1 = pc_ + 1
                 if rec is not None:
                     def body(stack, locals_):
                         stats.guarded_checks_executed += 1
@@ -1224,7 +931,6 @@ class FastEngine:
                         return NXT
             elif op == _INSTR:
                 action = arg
-                PCP1 = pc_ + 1
                 def body(stack, locals_):
                     stats.cycles += action.cost
                     stats.instr_ops_executed += 1
@@ -1341,28 +1047,7 @@ class FastEngine:
                     return NXT
             elif op == _THROW:
                 def body(stack, locals_):
-                    value = stack.pop()
-                    stats.throws += 1
-                    frames = eng.frames
-                    fr = frames[-1]
-                    while True:
-                        if fr.handlers:
-                            target, depth = fr.handlers.pop()
-                            del fr.stack[depth:]
-                            fr.stack.append(value)
-                            # Handler targets are branch targets, so
-                            # they always lead a segment.
-                            fr.fast_pc = eng._heads[fr.function][target]
-                            return _REBIND
-                        frames.pop()
-                        stats.frames_unwound += 1
-                        if not frames:
-                            raise VMTrap(
-                                f"uncaught guest exception {value!r}",
-                                fn_name,
-                                pc_,
-                            )
-                        fr = frames[-1]
+                    return eng._throw(stack.pop(), fn_name, pc_)
             elif op == _LOADFN:
                 template_name = arg
                 def body(stack, locals_):
@@ -1387,7 +1072,7 @@ class FastEngine:
                         ) from None
                     stack.append(replaced)
                     return NXT
-            elif op == _OSRPOINT:
+            else:  # _OSRPOINT, the last breaker
                 osr_id = arg
                 def body(stack, locals_):
                     current = functions.get(fn_name)
@@ -1418,120 +1103,46 @@ class FastEngine:
                     eng._code_for(current)
                     fr.fast_pc = eng._heads[current][landing]
                     return _REBIND
-            elif op == _DIV or op == _MOD:
-                is_div = op == _DIV
-                def body(stack, locals_):
-                    b = stack.pop()
-                    if b == 0:
-                        raise VMTrap(
-                            "division by zero" if is_div
-                            else "modulo by zero",
-                            fn_name,
-                            pc_,
-                        )
-                    if is_div:
-                        stack[-1] = stack[-1] // b
-                    else:
-                        stack[-1] = stack[-1] % b
-                    return NXT
-            elif op == _NEG:
-                def body(stack, locals_):
-                    stack[-1] = -stack[-1]
-                    return NXT
-            elif op == _NOT:
-                def body(stack, locals_):
-                    stack[-1] = 1 if stack[-1] == 0 else 0
-                    return NXT
-            elif op == _SWAP:
-                def body(stack, locals_):
-                    stack[-1], stack[-2] = stack[-2], stack[-1]
-                    return NXT
-            elif op == _ALEN:
-                def body(stack, locals_):
-                    ref = stack[-1]
-                    if ref.__class__ is not RArray:
-                        raise VMTrap(
-                            f"ALEN on non-array {ref!r}", fn_name, pc_
-                        )
-                    stack[-1] = len(ref)
-                    return NXT
-            elif op == _PRINT:
-                def body(stack, locals_):
-                    output.append(stack.pop())
-                    return NXT
-            elif op == _NOP:
-                def body(stack, locals_):
-                    return NXT
-            elif op == _HALT:
-                def body(stack, locals_):
-                    th = eng.thread
-                    th.done = True
-                    th.result = 0
-                    return _DONE
-            else:
-                name = code[pc_].op.name
-                def body(stack, locals_):
-                    raise VMTrap(
-                        f"unimplemented opcode {name}", fn_name, pc_
-                    )
-            if HEAD:
-                return wrap_head(body, SL, SC, PC)
-            return body
+            return wrap_head(body, SC, pc_)
 
-        # Pass 2: build handlers.  Fallthrough out of a handler is
-        # simply the next slot; segments are laid out in code order, so
-        # falling off a segment's last handler lands on the next
-        # segment's head.  (Verified code always ends segments in
-        # terminators or breakers, so the only way to leave a segment is
-        # an explicit branch sentinel or that fallthrough.)
+        # Plain segments are generated first (each registers the extras
+        # specs its source names) and then run in one namespace per
+        # function: ``_c{pc}`` and ``_fn{pc}`` are unique per pc.
         handlers: List[Callable] = []
-        gen_globals = {
-            "_stats": stats,
-            "_eng": eng,
-            "_fuel": fuel,
-            "_out": output,
-            "_Frame": Frame,
-            "_VMTrap": VMTrap,
-            "_RObject": RObject,
-            "_RArray": RArray,
-            "_SO": StackOverflowError,
-            "_md": max_depth,
-        }
-        for (s, e), plan in zip(segments, seg_plans):
-            seg_len = e - s
+        generated = []
+        spec: Dict[str, tuple] = {}
+        for i, (s, e) in enumerate(segments):
             seg_cost = 0
             for p in range(s, e):
                 seg_cost += cost[ops[p]]
-            if plan is None:
-                nxt = len(handlers) + 1
-                body, extras = _gen_segment_src(
-                    code, ops, s, e, head_index, nxt, fn_name, functions
-                )
-                src = (
-                    "def _h(stack, locals_):\n"
-                    "    ni = _stats.instructions\n"
-                    "    if ni >= _fuel:\n"
-                    f"        _eng._fuel_trap({s})\n"
-                    f"    _stats.instructions = ni + {seg_len}\n"
-                    f"    _cy = _stats.cycles + {seg_cost}\n"
-                    "    _stats.cycles = _cy\n"
-                    "    if _cy >= _eng.next_tick:\n"
-                    "        _eng._ticks()\n" + body + "\n"
-                )
-                co = _CODE_CACHE.get(src)
-                if co is None:
-                    co = compile(src, "<segment>", "exec")
-                    _CODE_CACHE[src] = co
-                ns = dict(gen_globals)
-                ns.update(extras)
-                exec(co, ns)
-                handlers.append(ns["_h"])
+            if ops[s] in _BREAKERS:
+                handlers.append(build_breaker(s, i + 1, seg_cost))
                 continue
-            for gi, p in enumerate(plan):
-                nxt = len(handlers) + 1
-                handlers.append(
-                    build_singleton(p, nxt, gi == 0, seg_len, seg_cost, s)
-                )
+            body = _gen_segment_src(
+                code, ops, s, e, head_index, i + 1, fn_name, functions,
+                dynamic, spec,
+            )
+            src = (
+                "def _h(stack, locals_):\n"
+                "    ni = _stats.instructions\n"
+                "    if ni >= _fuel:\n"
+                f"        _eng._fuel_trap({s})\n"
+                f"    _stats.instructions = ni + {e - s}\n"
+                f"    _cy = _stats.cycles + {seg_cost}\n"
+                "    _stats.cycles = _cy\n"
+                "    if _cy >= _eng.next_tick:\n"
+                "        _eng._ticks()\n" + body + "\n"
+            )
+            co = _CODE_CACHE.get(src)
+            if co is None:
+                co = compile(src, "<segment>", "exec")
+                _CODE_CACHE[src] = co
+            generated.append((i, co))
+            handlers.append(None)
+        ns = self._namespace(fn, spec)
+        for i, co in generated:
+            exec(co, ns)
+            handlers[i] = ns["_h"]
 
         # Opcode counting (calibration tooling): bump each segment's
         # constituent-opcode multiset once at the segment head, so fused

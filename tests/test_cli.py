@@ -78,6 +78,12 @@ class TestRun:
 
 
 class TestProfile:
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        # Without --stacks-out, `repro profile FILE` writes
+        # <stem>.collapsed to the working directory.
+        monkeypatch.chdir(tmp_path)
+
     def test_field_access_profile(self, demo_file, capsys):
         code = main(
             [
@@ -226,6 +232,22 @@ class TestBadRunFlags:
         argv = ["metrics", "--workload", "osr", "--interval", "0", *extra]
         assert main(argv) == 0
         assert "reconcile:" in capsys.readouterr().out
+
+
+class TestBadVerbFlags:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_adaptive_interval_below_one(self, demo_file, value, capsys):
+        assert main(["adaptive", demo_file, "--interval", value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sample interval must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_ledger_window_below_one(self, value, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["ledger", "check", "--ledger", str(ledger), "--window", value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ledger window must be >= 1, got {value}\n"
 
 
 class TestOutDirectories:

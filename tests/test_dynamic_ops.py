@@ -1,10 +1,11 @@
-"""Semantics of the dynamic-code opcodes, on both engines.
+"""Semantics of the dynamic-code opcodes, on every engine.
 
 LOADFN / REPLACEFN / OSRPOINT grow and rewrite the function table while
 the program runs; TRY / ENDTRY / THROW give guest code its own
 exception control flow. Every behavioural claim here is asserted on the
-reference interpreter *and* the fast engine — including trap messages
-and the counters the incremental certifier reconciles against.
+reference interpreter, the fast engine and the compiled tier —
+including trap messages and the counters the incremental certifier
+reconciles against.
 
 Also home to the verifier regression tests for the re-entrant
 (open-function-table) verification the dynamic opcodes require.
@@ -19,7 +20,7 @@ from repro.bytecode.verifier import verify_function, verify_program
 from repro.errors import BytecodeError, VerificationError, VMTrap
 from repro.vm import VM
 
-ENGINES = ("reference", "fast")
+ENGINES = ("reference", "fast", "compiled")
 
 
 def _helper(name: str, multiplier: int):
@@ -40,19 +41,20 @@ def _run(program, engine, **kwargs):
     return result, vm
 
 
-def _run_both(build, **kwargs):
-    """Build + run on both engines; assert bit-identity; return the
+def _run_all(build, **kwargs):
+    """Build + run on every engine; assert bit-identity; return the
     reference (result, vm) pair."""
     outcomes = {}
     for engine in ENGINES:
         result, vm = _run(build(), engine, **kwargs)
         outcomes[engine] = (result.value, result.output, vm.stats.as_dict())
-    assert outcomes["fast"] == outcomes["reference"]
+    for engine in ENGINES[1:]:
+        assert outcomes[engine] == outcomes["reference"], engine
     result, vm = _run(build(), "reference", **kwargs)
     return result, vm
 
 
-def _trap_both(build, match):
+def _trap_all(build, match):
     for engine in ENGINES:
         with pytest.raises(VMTrap, match=match):
             _run(build(), engine)
@@ -74,7 +76,7 @@ class TestLoadfn:
             verify_program(program)
             return program
 
-        result, vm = _run_both(build)
+        result, vm = _run_all(build)
         assert result.value == 43
         assert vm.stats.functions_loaded == 1
         assert vm.program.installed_template("h") == "h"
@@ -89,7 +91,7 @@ class TestLoadfn:
             verify_program(program)
             return program
 
-        _trap_both(build, "call to unloaded function 'h'")
+        _trap_all(build, "call to unloaded function 'h'")
 
     def test_run_does_not_mutate_callers_program(self):
         m = BytecodeBuilder("main", num_params=0)
@@ -121,7 +123,7 @@ class TestReplacefn:
         return program
 
     def test_replace_swaps_body_idempotently(self):
-        result, vm = _run_both(self._program)
+        result, vm = _run_all(self._program)
         assert result.value == 56
         assert vm.stats.functions_replaced == 1
         assert vm.program.installed_template("f") == "f_v2"
@@ -151,7 +153,7 @@ class TestReplacefn:
             verify_program(program)
             return program
 
-        _trap_both(build, "REPLACEFN failed: .*'g' is not loaded")
+        _trap_all(build, "REPLACEFN failed: .*'g' is not loaded")
 
 
 class TestOsr:
@@ -199,7 +201,7 @@ class TestOsr:
     def test_live_frame_migrates_at_osr_point(self):
         # v1 sums i for i=0,1,2 (0+1+2=3), replaces itself at i=2,
         # migrates at the next loop head, v2 sums 10i for i=3,4,5
-        result, vm = _run_both(self._program)
+        result, vm = _run_all(self._program)
         assert result.value == 3 + 30 + 40 + 50
         assert vm.stats.osr_remaps == 1
         assert vm.stats.functions_replaced == 1
@@ -207,12 +209,12 @@ class TestOsr:
     def test_osr_pads_new_locals(self):
         # the replacement declares more locals than the live frame has:
         # the remap must extend them (zero-filled), not crash
-        result, vm = _run_both(lambda: self._program(extra_locals=3))
+        result, vm = _run_all(lambda: self._program(extra_locals=3))
         assert result.value == 123
         assert vm.stats.osr_remaps == 1
 
     def test_missing_osr_point_in_replacement_traps(self):
-        _trap_both(
+        _trap_all(
             lambda: self._program(v2_osr=False),
             "no OSR point 1 in replacement of kernel",
         )
@@ -234,7 +236,7 @@ class TestOsr:
             verify_program(program)
             return program
 
-        result, vm = _run_both(build)
+        result, vm = _run_all(build)
         assert result.value == 77
         assert vm.stats.osr_remaps == 0
 
@@ -254,7 +256,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        result, vm = _run_both(build)
+        result, vm = _run_all(build)
         assert result.value == 42
         assert vm.stats.throws == 1
         assert vm.stats.frames_unwound == 0
@@ -279,7 +281,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        result, vm = _run_both(build)
+        result, vm = _run_all(build)
         assert result.value == 107
         assert vm.stats.throws == 1
         assert vm.stats.frames_unwound == 2
@@ -299,7 +301,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        result, _ = _run_both(build)
+        result, _ = _run_all(build)
         assert result.value == 1005
 
     def test_nested_handlers_pop_lifo(self):
@@ -319,7 +321,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        result, vm = _run_both(build)
+        result, vm = _run_all(build)
         assert result.value == 115
         assert vm.stats.throws == 2
 
@@ -336,7 +338,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        _trap_both(build, "uncaught guest exception 9")
+        _trap_all(build, "uncaught guest exception 9")
 
     def test_uncaught_throw_traps(self):
         def build():
@@ -346,7 +348,7 @@ class TestGuestExceptions:
             verify_program(program)
             return program
 
-        _trap_both(build, "uncaught guest exception 13")
+        _trap_all(build, "uncaught guest exception 13")
 
     def test_endtry_without_try_traps(self):
         # passes depth verification (ENDTRY has no stack effect) but
@@ -357,7 +359,7 @@ class TestGuestExceptions:
             b.push(0).ret()
             return Program([b.build()], entry="main")
 
-        _trap_both(build, "ENDTRY without matching TRY")
+        _trap_all(build, "ENDTRY without matching TRY")
 
 
 class TestVerifierReentrancy:
@@ -464,7 +466,8 @@ class TestCodeEventStream:
             result = vm.run()
             assert result.value == 44
             streams[engine] = events
-        assert streams["fast"] == streams["reference"]
+        for engine in ENGINES[1:]:
+            assert streams[engine] == streams["reference"], engine
         assert streams["reference"] == [
             ("load", "h", "h", "h"),
             ("load", "h2", "h2", "h2"),

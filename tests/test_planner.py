@@ -11,6 +11,7 @@ and the ``repro plan`` CLI verb.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -229,13 +230,14 @@ class TestReconcilePlan:
 class TestPlannedRunner:
     def test_planned_cell_manifest_and_verdict(self):
         program, plan = _plan("compress")
-        runner = ExperimentRunner(telemetry=True, cache=False, plan=plan)
+        runner = ExperimentRunner(telemetry=True, cache=False)
         spec = RunSpec(
             workload="compress",
             strategy=Strategy.FULL_DUPLICATION,
             instrumentation=KINDS,
             trigger="counter",
             interval=500,
+            plan=plan.key(),
         )
         result = runner.run(spec)
         manifest = result.manifest
@@ -248,13 +250,14 @@ class TestPlannedRunner:
 
     def test_planned_dynamic_workload_reconciles(self):
         program, plan = _plan("osr")
-        runner = ExperimentRunner(telemetry=True, cache=False, plan=plan)
+        runner = ExperimentRunner(telemetry=True, cache=False)
         spec = RunSpec(
             workload="osr",
             strategy=Strategy.FULL_DUPLICATION,
             instrumentation=KINDS,
             trigger="counter",
             interval=500,
+            plan=plan.key(),
         )
         result = runner.run(spec)
         assert result.manifest.analysis["verdict"]["ok"] is True
@@ -280,8 +283,7 @@ class TestPlannedRunner:
 
     def test_plan_semantics_match_uniform_run(self):
         _, plan = _plan("compress")
-        planned_runner = ExperimentRunner(cache=False, plan=plan)
-        uniform_runner = ExperimentRunner(cache=False)
+        runner = ExperimentRunner(cache=False)
         spec = RunSpec(
             workload="compress",
             strategy=Strategy.FULL_DUPLICATION,
@@ -289,8 +291,8 @@ class TestPlannedRunner:
             trigger="counter",
             interval=500,
         )
-        planned = planned_runner.run(spec)
-        uniform = uniform_runner.run(spec)
+        planned = runner.run(replace(spec, plan=plan.key()))
+        uniform = runner.run(spec)
         assert planned.value == uniform.value
 
 
