@@ -20,7 +20,8 @@ simulated machine:
   threads, virtual timer, GC pauses;
 * :mod:`repro.profiles` — profiles and the overlap-percentage metric;
 * :mod:`repro.adaptive` — a sampled-profile-driven adaptive optimizer;
-* :mod:`repro.workloads` — ten benchmark analogs of the paper's suite;
+* :mod:`repro.workloads` — the twelve workloads: ten analogs of the
+  paper's benchmark suite plus two dynamic-code workloads;
 * :mod:`repro.harness` — generators for every table and figure;
 * :mod:`repro.analysis` — the static auditor: invariant certification,
   check-cost certificates, and static↔dynamic reconciliation.
@@ -41,99 +42,42 @@ Quickstart::
     print(instr.profile.top(10))
 """
 
-from repro.adaptive import AdaptiveController
-from repro.analysis import (
-    audit_program,
-    reconcile,
-    reconcile_manifest,
-)
-from repro.bytecode import (
-    BytecodeBuilder,
-    Function,
-    Instruction,
-    Klass,
-    Op,
-    Program,
-    assemble,
-    disassemble_function,
-    disassemble_program,
-    verify_program,
-)
-from repro.frontend import CompileOptions, compile_baseline, compile_source
-from repro.instrument import (
-    BlockCountInstrumentation,
-    CallEdgeInstrumentation,
-    CombinedInstrumentation,
-    EdgeProfileInstrumentation,
-    FieldAccessInstrumentation,
-    Instrumentation,
-    InstrumentationAction,
-    ParameterValueInstrumentation,
-    PathProfileInstrumentation,
-    instrument_program,
-)
-from repro.profiles import Profile, overlap_percentage
-from repro.sampling import (
-    CounterTrigger,
-    NeverTrigger,
-    RandomizedCounterTrigger,
-    SamplingFramework,
-    Strategy,
-    TimerTrigger,
-    transform_program,
-)
-from repro.vm import VM, CostModel, VMResult, run_program
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # frontend
-    "compile_source",
-    "compile_baseline",
-    "CompileOptions",
-    # bytecode
-    "Op",
-    "Instruction",
-    "Function",
-    "Klass",
-    "Program",
-    "BytecodeBuilder",
-    "assemble",
-    "disassemble_function",
-    "disassemble_program",
-    "verify_program",
-    # instrumentation
-    "Instrumentation",
-    "InstrumentationAction",
-    "CallEdgeInstrumentation",
-    "FieldAccessInstrumentation",
-    "BlockCountInstrumentation",
-    "EdgeProfileInstrumentation",
-    "ParameterValueInstrumentation",
-    "PathProfileInstrumentation",
-    "CombinedInstrumentation",
-    "instrument_program",
-    # sampling framework
-    "SamplingFramework",
-    "Strategy",
-    "transform_program",
-    "CounterTrigger",
-    "TimerTrigger",
-    "RandomizedCounterTrigger",
-    "NeverTrigger",
-    # vm
-    "VM",
-    "VMResult",
-    "run_program",
-    "CostModel",
-    # profiles
-    "Profile",
-    "overlap_percentage",
-    # adaptive
-    "AdaptiveController",
-    # static auditor
-    "audit_program",
-    "reconcile",
-    "reconcile_manifest",
-]
+__all__ = ["__version__"] + lazy_exports(__name__, {
+    "frontend.compiler": ("compile_source", "compile_baseline", "CompileOptions"),
+    "bytecode.opcodes": ("Op",),
+    "bytecode.instructions": ("Instruction",),
+    "bytecode.function": ("Function",),
+    "bytecode.klass": ("Klass",),
+    "bytecode.program": ("Program",),
+    "bytecode.builder": ("BytecodeBuilder",),
+    "bytecode.assembler": ("assemble",),
+    "bytecode.disassembler": ("disassemble_function", "disassemble_program"),
+    "bytecode.verifier": ("verify_program",),
+    "instrument.base": (
+        "Instrumentation", "InstrumentationAction", "CombinedInstrumentation",
+    ),
+    "instrument.call_edge": ("CallEdgeInstrumentation",),
+    "instrument.field_access": ("FieldAccessInstrumentation",),
+    "instrument.block_profile": (
+        "BlockCountInstrumentation", "EdgeProfileInstrumentation",
+    ),
+    "instrument.value_profile": ("ParameterValueInstrumentation",),
+    "instrument.path_profile": ("PathProfileInstrumentation",),
+    "instrument.apply": ("instrument_program",),
+    "sampling.framework": ("SamplingFramework", "Strategy", "transform_program"),
+    "sampling.triggers": (
+        "CounterTrigger", "TimerTrigger", "RandomizedCounterTrigger",
+        "NeverTrigger",
+    ),
+    "vm.interpreter": ("VM", "VMResult", "run_program"),
+    "vm.cost_model": ("CostModel",),
+    "profiles.profile": ("Profile",),
+    "profiles.overlap": ("overlap_percentage",),
+    "adaptive.controller": ("AdaptiveController",),
+    "analysis.auditor": ("audit_program",),
+    "analysis.reconcile": ("reconcile", "reconcile_manifest"),
+})

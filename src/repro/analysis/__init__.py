@@ -24,115 +24,38 @@ Entry points:
   (see docs/ANALYSIS.md for the rule catalog and suppression syntax).
 """
 
-from repro.analysis.auditor import (
-    STRATEGY_MISMATCH_RULE,
-    AuditReport,
-    IncrementalCertifier,
-    audit_function,
-    audit_program,
-)
-from repro.analysis.context import AuditContext, checking_projection
-from repro.analysis.cost import (
-    CostCertificate,
-    FunctionCostBound,
-    build_certificate,
-    function_cost_bound,
-)
-from repro.analysis.findings import (
-    FINDINGS_SCHEMA_VERSION,
-    Finding,
-    Severity,
-    findings_document,
-    findings_ok,
-    tally,
-)
-from repro.analysis.interproc import (
-    CallGraph,
-    CallSite,
-    CostPoly,
-    FunctionLoopInfo,
-    FunctionSummary,
-    LoopBound,
-    ProgramAnalysis,
-    analyze_program,
-    unreachable_functions,
-)
-from repro.analysis.planner import (
-    BUDGETS,
-    FunctionPlan,
-    PlanBudget,
-    StrategyPlan,
-    plan_program,
-)
-from repro.analysis.reconcile import (
-    ReconcileVerdict,
-    measured_function_checks,
-    property1_vs_baseline,
-    reconcile,
-    reconcile_manifest,
-    reconcile_plan,
-    reconcile_profile,
-    reconcile_stream,
-)
-from repro.analysis.rules import (
-    ProgramRule,
-    Rule,
-    Suppressions,
-    all_program_rules,
-    all_rules,
-    get_rule,
-    program_rule,
-    run_program_rules,
-    run_rules,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUDGETS",
-    "CallGraph",
-    "CallSite",
-    "CostPoly",
-    "FINDINGS_SCHEMA_VERSION",
-    "FunctionLoopInfo",
-    "FunctionPlan",
-    "FunctionSummary",
-    "LoopBound",
-    "PlanBudget",
-    "ProgramAnalysis",
-    "ProgramRule",
-    "StrategyPlan",
-    "all_program_rules",
-    "analyze_program",
-    "findings_document",
-    "findings_ok",
-    "measured_function_checks",
-    "plan_program",
-    "program_rule",
-    "property1_vs_baseline",
-    "reconcile_plan",
-    "run_program_rules",
-    "tally",
-    "unreachable_functions",
-    "AuditContext",
-    "AuditReport",
-    "CostCertificate",
-    "Finding",
-    "FunctionCostBound",
-    "IncrementalCertifier",
-    "ReconcileVerdict",
-    "Rule",
-    "Severity",
-    "Suppressions",
-    "STRATEGY_MISMATCH_RULE",
-    "all_rules",
-    "audit_function",
-    "audit_program",
-    "build_certificate",
-    "checking_projection",
-    "function_cost_bound",
-    "get_rule",
-    "reconcile",
-    "reconcile_manifest",
-    "reconcile_profile",
-    "reconcile_stream",
-    "run_rules",
-]
+__all__ = lazy_exports(__name__, {
+    "auditor": (
+        "STRATEGY_MISMATCH_RULE", "AuditReport", "IncrementalCertifier",
+        "audit_function", "audit_program",
+    ),
+    "context": ("AuditContext", "checking_projection"),
+    "cost": (
+        "CostCertificate", "FunctionCostBound", "build_certificate",
+        "function_cost_bound",
+    ),
+    "findings": (
+        "FINDINGS_SCHEMA_VERSION", "Finding", "Severity", "findings_document",
+        "findings_ok", "tally",
+    ),
+    "interproc": (
+        "CallGraph", "CallSite", "CostPoly", "FunctionLoopInfo",
+        "FunctionSummary", "LoopBound", "ProgramAnalysis", "analyze_program",
+        "unreachable_functions",
+    ),
+    "planner": (
+        "BUDGETS", "FunctionPlan", "PlanBudget", "StrategyPlan", "plan_program",
+    ),
+    "reconcile": (
+        "ReconcileVerdict", "measured_function_checks", "property1_vs_baseline",
+        "reconcile", "reconcile_manifest", "reconcile_plan",
+        "reconcile_profile", "reconcile_stream",
+    ),
+    "rules": (
+        "ProgramRule", "Rule", "Suppressions", "all_program_rules",
+        "all_rules", "get_rule", "program_rule", "run_program_rules",
+        "run_rules",
+    ),
+})

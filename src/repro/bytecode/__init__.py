@@ -1,27 +1,15 @@
 """Stack-machine bytecode: ISA, containers, builder, (dis)assembler, verifier."""
 
-from repro.bytecode.assembler import assemble
-from repro.bytecode.builder import BytecodeBuilder
-from repro.bytecode.disassembler import disassemble_function, disassemble_program
-from repro.bytecode.function import Function
-from repro.bytecode.instructions import Instruction, Label, instr
-from repro.bytecode.klass import Klass
-from repro.bytecode.opcodes import Op
-from repro.bytecode.program import Program
-from repro.bytecode.verifier import verify_function, verify_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Op",
-    "Instruction",
-    "Label",
-    "instr",
-    "Function",
-    "Klass",
-    "Program",
-    "BytecodeBuilder",
-    "assemble",
-    "disassemble_function",
-    "disassemble_program",
-    "verify_function",
-    "verify_program",
-]
+__all__ = lazy_exports(__name__, {
+    "opcodes": ("Op",),
+    "instructions": ("Instruction", "Label", "instr"),
+    "function": ("Function",),
+    "klass": ("Klass",),
+    "program": ("Program",),
+    "builder": ("BytecodeBuilder",),
+    "assembler": ("assemble",),
+    "disassembler": ("disassemble_function", "disassemble_program"),
+    "verifier": ("verify_function", "verify_program"),
+})

@@ -1,57 +1,19 @@
 """Control-flow graphs: construction, analyses, and re-linearization."""
 
-from repro.cfg.basic_block import (
-    BasicBlock,
-    CheckBranch,
-    CondBranch,
-    Goto,
-    Halt,
-    Return,
-    Terminator,
-    Throw,
-    TryBranch,
-)
-from repro.cfg.dataflow import LivenessProblem, liveness, solve
-from repro.cfg.dominators import DominatorTree, immediate_dominators
-from repro.cfg.graph import CFG
-from repro.cfg.linearize import linearize, roundtrip
-from repro.cfg.loops import (
-    NaturalLoop,
-    backedges,
-    is_reducible,
-    loop_nesting_depth,
-    natural_loops,
-    retreating_edges,
-    sampling_backedges,
-)
-from repro.cfg.traversal import dfs_preorder, postorder, reverse_postorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CFG",
-    "BasicBlock",
-    "Terminator",
-    "Goto",
-    "CondBranch",
-    "CheckBranch",
-    "TryBranch",
-    "Throw",
-    "Return",
-    "Halt",
-    "DominatorTree",
-    "immediate_dominators",
-    "backedges",
-    "retreating_edges",
-    "sampling_backedges",
-    "natural_loops",
-    "NaturalLoop",
-    "loop_nesting_depth",
-    "is_reducible",
-    "dfs_preorder",
-    "postorder",
-    "reverse_postorder",
-    "liveness",
-    "LivenessProblem",
-    "solve",
-    "linearize",
-    "roundtrip",
-]
+__all__ = lazy_exports(__name__, {
+    "graph": ("CFG",),
+    "basic_block": (
+        "BasicBlock", "Terminator", "Goto", "CondBranch", "CheckBranch",
+        "TryBranch", "Throw", "Return", "Halt",
+    ),
+    "dominators": ("DominatorTree", "immediate_dominators"),
+    "loops": (
+        "backedges", "retreating_edges", "sampling_backedges",
+        "natural_loops", "NaturalLoop", "loop_nesting_depth", "is_reducible",
+    ),
+    "traversal": ("dfs_preorder", "postorder", "reverse_postorder"),
+    "dataflow": ("liveness", "LivenessProblem", "solve"),
+    "linearize": ("linearize", "roundtrip"),
+})

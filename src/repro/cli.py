@@ -45,6 +45,8 @@ experiment cell, and then prints its view of the
 :class:`~repro.harness.RunResult`.
 
 All commands operate on deterministic simulated execution; see DESIGN.md.
+Each verb imports its subsystem inside itself, so a command loads only
+what it runs (docs/HARNESS.md, "Cold start").
 """
 
 from __future__ import annotations
@@ -57,56 +59,22 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.adaptive import AdaptiveController
-from repro.analysis import (
-    BUDGETS,
-    ReconcileVerdict,
-    StrategyPlan,
-    Suppressions,
-    findings_document,
-    plan_program,
-)
-from repro.bytecode import disassemble_program
+from repro.analysis import ReconcileVerdict, findings_document
 from repro.errors import ReproError
 from repro.frontend import CompileOptions, compile_baseline, compile_source
-from repro.harness import (
-    BaselineCache,
-    ExperimentRunner,
-    figure7,
-    figure8a,
-    figure8b,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
 from repro.harness.experiment import (
+    ExperimentRunner,
     RunResult,
     RunSpec,
     make_instrumentations,
     overhead_percent,
 )
-from repro.profiles import profile_summary
 from repro.profiling import (
     DEFAULT_INTERVAL as DEFAULT_PROFILE_INTERVAL,
-    DEFAULT_NOISE_PCT,
-    DEFAULT_WINDOW,
-    LEDGER_FILENAME,
     DecompositionReport,
-    PerfLedger,
-    write_chrome_flame,
-    write_collapsed,
-    write_speedscope,
 )
-from repro.sampling import Strategy, transform_program
-from repro.telemetry import (
-    events_to_chrome_trace,
-    events_to_jsonl,
-    inflate,
-    quantile_from_buckets,
-    records_to_compact_jsonl,
-)
+from repro.sampling import Strategy
+from repro.telemetry import quantile_from_buckets
 from repro.vm import run_program
 from repro.workloads import (
     all_workloads,
@@ -115,15 +83,19 @@ from repro.workloads import (
     workload_names,
 )
 
-_TABLES = {
-    "table1": lambda runner, scale: table1(runner, scale=scale),
-    "table2": lambda runner, scale: table2(runner, scale=scale),
-    "table3": lambda runner, scale: table3(runner, scale=scale),
-    "table4": lambda runner, scale: table4(runner, scale=scale),
-    "table5": lambda runner, scale: table5(runner, scale=scale),
-    "figure8a": lambda runner, scale: figure8a(runner, scale=scale),
-    "figure8b": lambda runner, scale: figure8b(runner, scale=scale),
-}
+#: The ``tables`` targets besides ``figure7`` and ``all``: functions of
+#: :mod:`repro.harness.tables`, each called as ``fn(runner, scale=...)``.
+_TABLES = (
+    "table1", "table2", "table3", "table4", "table5", "figure8a", "figure8b",
+)
+
+#: Values the parser shows before any verb runs, spelled out so that
+#: building it loads neither the planner nor the ledger (tests/test_cli.py
+#: pins them to ``analysis.planner.BUDGETS`` and ``profiling.ledger``).
+_BUDGET_NAMES = ("default", "relaxed", "strict")
+_LEDGER_FILENAME = "BENCH_history.jsonl"
+_LEDGER_WINDOW = 5
+_LEDGER_NOISE_PCT = 10.0
 
 
 def _read_source(path: str) -> str:
@@ -164,6 +136,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _read_source(args.file), CompileOptions(opt_level=args.opt_level)
     )
     if args.disasm:
+        from repro.bytecode import disassemble_program
+
         print(disassemble_program(program), end="")
     else:
         print(
@@ -205,6 +179,13 @@ def _print_self_profile(payload) -> DecompositionReport:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.profiles import profile_summary
+    from repro.profiling import (
+        write_chrome_flame,
+        write_collapsed,
+        write_speedscope,
+    )
+
     runner, result = _run_cell(
         args,
         "profile need a FILE or --workload NAME",
@@ -240,6 +221,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     if args.interval < 1:
         raise ReproError(f"sample interval must be >= 1, got {args.interval}")
+    from repro.adaptive import AdaptiveController
+
     program = compile_baseline(_read_source(args.file))
     controller = AdaptiveController(interval=args.interval)
     outcome = controller.optimize(program)
@@ -267,15 +250,17 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from repro.harness import tables
+
     cache = False if args.no_cache else (args.cache_dir or True)
     runner = ExperimentRunner(jobs=args.jobs, cache=cache, engine=args.engine)
     names = list(_TABLES) + ["figure7"] if args.which == "all" else [args.which]
     for name in names:
         if name == "figure7":
-            table, _overlap = figure7(runner)
+            table, _overlap = tables.figure7(runner)
             print(table.render())
         else:
-            print(_TABLES[name](runner, args.scale).render())
+            print(getattr(tables, name)(runner, scale=args.scale).render())
         print()
     if args.report:
         print(runner.timing_report())
@@ -283,6 +268,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from repro.harness.baseline_cache import BaselineCache
+
     cache = BaselineCache(args.cache_dir) if args.cache_dir else BaselineCache()
     if args.action == "clear":
         removed = cache.clear()
@@ -420,6 +407,13 @@ def _render_trace_stats(label, summary, stats) -> List[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.telemetry import (
+        events_to_chrome_trace,
+        events_to_jsonl,
+        inflate,
+        records_to_compact_jsonl,
+    )
+
     result = _observed_cell(
         args, compaction=args.compact or args.format == "compact"
     )
@@ -690,6 +684,11 @@ def _wants_json(args: argparse.Namespace) -> bool:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    # The one verb that audits outside a run: every other verb reads
+    # its cell's audit from the RunResult.
+    from repro.analysis import Suppressions, audit_program
+    from repro.sampling import transform_program
+
     suppressions = (
         Suppressions.parse(args.suppress) if args.suppress else None
     )
@@ -700,10 +699,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     ]
     if not strategies:
         raise ReproError("lint needs at least one --strategy")
-    # The one verb that audits outside a run: every other verb reads
-    # its cell's audit from the RunResult.
-    from repro.analysis import audit_program
-
     kinds = _kinds(args)
     reports = []
     for name in _targets(
@@ -783,6 +778,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _previous_plans(path: str):
     """Load plans from an earlier ``repro plan`` artifact: either a
     bare StrategyPlan dict or a findings document holding several."""
+    from repro.analysis import StrategyPlan
+
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     plans = {}
@@ -797,6 +794,8 @@ def _previous_plans(path: str):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from repro.analysis import plan_program
+
     kinds = _kinds(args)
     plans = [
         plan_program(
@@ -894,6 +893,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
+    from repro.profiling import PerfLedger
+
     ledger = PerfLedger(args.ledger)
     if args.action == "show":
         records = ledger.records(
@@ -1116,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark-suite member, or 'all' for the suite")
     p.add_argument("--scale", type=int, default=None)
     p.add_argument(
-        "--budget", default="default", choices=sorted(BUDGETS),
+        "--budget", default="default", choices=_BUDGET_NAMES,
         help="code-growth budget weighing duplication cost against "
         "predicted check savings",
     )
@@ -1298,18 +1299,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=["show", "check"])
     p.add_argument(
-        "--ledger", default=LEDGER_FILENAME,
-        help=f"ledger path (default ./{LEDGER_FILENAME})",
+        "--ledger", default=_LEDGER_FILENAME,
+        help=f"ledger path (default ./{_LEDGER_FILENAME})",
     )
     p.add_argument("--bench", default=None, help="filter: bench name")
     p.add_argument("--key", default=None, help="filter: series key")
     p.add_argument("--metric", default=None, help="filter: metric name")
     p.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW,
+        "--window", type=int, default=_LEDGER_WINDOW,
         help="rolling-baseline depth (median of preceding records)",
     )
     p.add_argument(
-        "--noise", type=float, default=DEFAULT_NOISE_PCT,
+        "--noise", type=float, default=_LEDGER_NOISE_PCT,
         help="noise band in percent; deviations inside it never flag",
     )
     p.add_argument(

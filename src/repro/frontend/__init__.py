@@ -1,20 +1,11 @@
 """The MiniJ frontend: lexer, parser, checker, code generator, driver."""
 
-from repro.frontend.checker import CheckedProgram, check
-from repro.frontend.codegen import generate
-from repro.frontend.compiler import CompileOptions, compile_baseline, compile_source
-from repro.frontend.lexer import Lexer, tokenize
-from repro.frontend.parser import Parser, parse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "tokenize",
-    "Lexer",
-    "parse",
-    "Parser",
-    "check",
-    "CheckedProgram",
-    "generate",
-    "compile_source",
-    "compile_baseline",
-    "CompileOptions",
-]
+__all__ = lazy_exports(__name__, {
+    "lexer": ("tokenize", "Lexer"),
+    "parser": ("parse", "Parser"),
+    "checker": ("check", "CheckedProgram"),
+    "codegen": ("generate",),
+    "compiler": ("compile_source", "compile_baseline", "CompileOptions"),
+})

@@ -41,6 +41,7 @@ from typing import Optional, Tuple
 
 from repro.bytecode.disassembler import disassemble_program
 from repro.bytecode.program import Program
+from repro.errors import HarnessError
 from repro.vm.cost_model import CostModel
 from repro.vm.interpreter import VMResult
 from repro.vm.tracing import ExecStats
@@ -155,6 +156,12 @@ class BaselineCache:
         if self.directory is None:
             self.directory = default_cache_dir()
         self.directory = pathlib.Path(self.directory)
+        # A missing directory is created by the first store; anything
+        # else at the path would make every store fail without a word.
+        if self.directory.exists() and not self.directory.is_dir():
+            raise HarnessError(
+                f"cache directory {self.directory} is not a directory"
+            )
 
     # -- paths -------------------------------------------------------------
 

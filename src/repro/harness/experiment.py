@@ -6,16 +6,23 @@ Every benchmark in ``benchmarks/``, every table generator in
 program goes through :class:`ExperimentRunner`, so they all share
 baseline caching and the always-on tripwires: semantic preservation,
 Property 1, the static audit and the cost-certificate reconciliation.
+The baseline cache, the perf ledger, the worker pool, the exporters and
+the instrumentation kinds a run does not use are imported only when a
+run asks for them (docs/HARNESS.md, "Cold start").
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
+from repro import instrument
 from repro.analysis import (
     AuditReport,
     IncrementalCertifier,
@@ -29,33 +36,10 @@ from repro.analysis import (
 )
 from repro.bytecode.program import Program
 from repro.errors import HarnessError
-from repro.harness.baseline_cache import (
-    CACHE_DIR_ENV,
-    BaselineCache,
-    baseline_key,
-)
 from repro.harness.formatting import render_table
-from repro.harness.parallel import (
-    RunnerConfig,
-    cell_seed,
-    effective_jobs,
-    run_specs,
-)
-from repro.instrument import (
-    BranchBiasInstrumentation,
-    CallEdgeInstrumentation,
-    CCTInstrumentation,
-    EdgeProfileInstrumentation,
-    FieldAccessInstrumentation,
-    BlockCountInstrumentation,
-    Instrumentation,
-    ParameterValueInstrumentation,
-    PathProfileInstrumentation,
-)
-from repro.instrument.base import EmptyInstrumentation
+from repro.instrument.base import EmptyInstrumentation, Instrumentation
 from repro.profiles.profile import Profile
 from repro.profiling.decomposition import decompose
-from repro.profiling.ledger import PerfLedger, make_record, resolve_ledger
 from repro.profiling.profiler import (
     DEFAULT_INTERVAL as DEFAULT_PROFILE_INTERVAL,
     OverheadProfiler,
@@ -65,11 +49,6 @@ from repro.sampling.framework import SamplingFramework, Strategy, TransformRepor
 from repro.sampling.triggers import make_trigger
 from repro.profiles.overlap import overlap_percentage
 from repro.telemetry.compaction import Record, inflate, sample_site_profile
-from repro.telemetry.exporters import (
-    compact_jsonl_to_records,
-    events_to_jsonl,
-    records_to_compact_jsonl,
-)
 from repro.telemetry.manifest import RunManifest, spec_as_dict
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import TelemetryRecorder
@@ -79,19 +58,30 @@ from repro.vm.interpreter import VM, VMResult
 from repro.vm.tracing import ExecStats
 from repro.workloads.suite import Workload, get_workload, workload_names
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.baseline_cache import BaselineCache
+    from repro.profiling.ledger import PerfLedger
+
 #: Default instruction budget for experiment runs.
 DEFAULT_FUEL = 100_000_000
 
+
+def _instrument_class(name: str) -> Callable[[], Instrumentation]:
+    """A factory for ``repro.instrument.<name>``; the class's module
+    loads when a spec first uses its kind."""
+    return lambda: getattr(instrument, name)()
+
+
 #: Registry of instrumentation kinds available to specs.
-_INSTRUMENTATION_FACTORIES = {
-    "call-edge": CallEdgeInstrumentation,
-    "field-access": FieldAccessInstrumentation,
-    "block-count": BlockCountInstrumentation,
-    "edge-profile": EdgeProfileInstrumentation,
-    "param-value": ParameterValueInstrumentation,
-    "path-profile": PathProfileInstrumentation,
-    "branch-bias": BranchBiasInstrumentation,
-    "cct": CCTInstrumentation,
+_INSTRUMENTATION_FACTORIES: Dict[str, Callable[[], Instrumentation]] = {
+    "call-edge": _instrument_class("CallEdgeInstrumentation"),
+    "field-access": _instrument_class("FieldAccessInstrumentation"),
+    "block-count": _instrument_class("BlockCountInstrumentation"),
+    "edge-profile": _instrument_class("EdgeProfileInstrumentation"),
+    "param-value": _instrument_class("ParameterValueInstrumentation"),
+    "path-profile": _instrument_class("PathProfileInstrumentation"),
+    "branch-bias": _instrument_class("BranchBiasInstrumentation"),
+    "cct": _instrument_class("CCTInstrumentation"),
     "none": EmptyInstrumentation,
 }
 
@@ -123,7 +113,7 @@ class RunSpec:
     #: checks in); used to average out deterministic aliasing
     phase: int = 0
     #: randomized-trigger seed; None derives a deterministic per-cell
-    #: seed from the spec content (see :func:`repro.harness.parallel.cell_seed`)
+    #: seed from the spec content (see :func:`cell_seed`)
     seed: Optional[int] = None
     #: per-function strategy assignment — sorted (function, strategy
     #: value) pairs, the hashable form a
@@ -167,6 +157,41 @@ class RunSpec:
         if self.yieldpoint_opt:
             parts.append("yp-opt")
         return " / ".join(parts)
+
+
+def cell_seed(spec: RunSpec) -> int:
+    """A deterministic 32-bit seed derived from the cell's content.
+
+    Used for the randomized-counter trigger so each cell perturbs its
+    intervals differently, yet identically across processes, runs, and
+    pool sizes. Intentionally *not* Python's ``hash`` (randomized per
+    interpreter) and not derived from worker state.
+    """
+    payload = "|".join(
+        [
+            spec.workload,
+            spec.strategy.value,
+            ",".join(spec.instrumentation),
+            spec.trigger,
+            str(spec.interval),
+            str(spec.scale),
+            str(spec.timer_period),
+            str(spec.phase),
+            str(spec.yieldpoint_opt),
+        ]
+        # Planned cells mix per-function strategies, and counted
+        # backedges change the transformed program, so both are part
+        # of the cell's identity; specs at their defaults keep their
+        # historical seeds.
+        + ([str(spec.plan)] if spec.plan is not None else [])
+        + (
+            [f"iterations={spec.sample_iterations}"]
+            if spec.sample_iterations != 1
+            else []
+        )
+    )
+    digest = hashlib.sha256(payload.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big")
 
 
 @dataclass
@@ -382,6 +407,8 @@ class ExperimentRunner:
         disk_key: Optional[str] = None
         cache_before = self._cache_counts()
         if self.baseline_cache is not None:
+            from repro.harness.baseline_cache import baseline_key
+
             disk_key = baseline_key(
                 program, self.cost_model, self.fuel, 100_000
             )
@@ -472,6 +499,8 @@ class ExperimentRunner:
         recorded exactly once, here, when its result lands)."""
         if self.ledger is None or run_result.vm_seconds <= 0:
             return
+        from repro.profiling.ledger import make_record
+
         stats = run_result.stats
         self.ledger.append(
             make_record(
@@ -860,6 +889,8 @@ class ExperimentRunner:
         and audited program, and the pool runs a family's cells in one
         task. The shared programs are dropped when the batch returns.
         """
+        from repro.harness.parallel import effective_jobs
+
         jobs = effective_jobs(jobs if jobs is not None else self.jobs)
         pending: List[RunSpec] = []
         seen = set()
@@ -868,6 +899,8 @@ class ExperimentRunner:
                 seen.add(spec)
                 pending.append(spec)
         if pending and jobs > 1 and len(pending) > 1:
+            from repro.harness.parallel import RunnerConfig, run_specs
+
             outcomes = run_specs(
                 pending, RunnerConfig.from_runner(self), jobs
             )
@@ -1068,6 +1101,12 @@ class ExperimentRunner:
             perfect.records or (), name="exact"
         )
         sampled_profile = sample_site_profile(records, name="suppressed")
+        from repro.telemetry.exporters import (
+            compact_jsonl_to_records,
+            events_to_jsonl,
+            records_to_compact_jsonl,
+        )
+
         events = inflate(records)
         raw_bytes = len(events_to_jsonl(events).encode("utf-8"))
         compact_text = records_to_compact_jsonl(records)
@@ -1197,17 +1236,44 @@ def _plan_section(spec: RunSpec) -> Dict[str, object]:
 def _resolve_cache(
     cache: Union[BaselineCache, str, bool, None]
 ) -> Optional[BaselineCache]:
-    """Interpret the runner's ``cache`` argument (see its docstring)."""
+    """Interpret the runner's ``cache`` argument (see its docstring).
+    The cache module loads only when a cache is asked for, which is why
+    ``$REPRO_CACHE_DIR`` (``baseline_cache.CACHE_DIR_ENV``) is spelled
+    out here."""
     if cache is None:
-        env = os.environ.get(CACHE_DIR_ENV)
-        return BaselineCache(env) if env else None
+        cache = os.environ.get("REPRO_CACHE_DIR") or False
     if cache is False:
         return None
+    from repro.harness.baseline_cache import BaselineCache
+
     if cache is True:
         return BaselineCache()
     if isinstance(cache, BaselineCache):
         return cache
     return BaselineCache(cache)
+
+
+def resolve_ledger(
+    ledger: Union[PerfLedger, str, os.PathLike, bool, None]
+) -> Optional[PerfLedger]:
+    """Interpret a ledger argument: a PerfLedger passes through, a path
+    builds one, ``None`` falls back to ``$REPRO_LEDGER`` (else None),
+    ``False`` disables explicitly (pool workers pass it so only the
+    parent ever appends), ``True`` means the default filename in cwd.
+    Like :func:`_resolve_cache`, it loads the ledger module only when a
+    ledger is asked for, so ``$REPRO_LEDGER`` (``ledger.LEDGER_ENV``)
+    is spelled out here."""
+    if ledger is None:
+        ledger = os.environ.get("REPRO_LEDGER", "").strip() or False
+    if ledger is False:
+        return None
+    from repro.profiling.ledger import LEDGER_FILENAME, PerfLedger
+
+    if ledger is True:
+        return PerfLedger(LEDGER_FILENAME)
+    if isinstance(ledger, PerfLedger):
+        return ledger
+    return PerfLedger(ledger)
 
 
 def overhead_percent(baseline_cycles: int, cycles: int) -> float:

@@ -17,10 +17,11 @@ over:
   outcomes are unpacked back into submission order, so the caller sees
   the exact list it would get from a serial loop;
 * every cell is seeded deterministically from its spec content
-  (:func:`cell_seed`), never from worker identity, scheduling order, or
-  wall clock — the same spec produces bit-identical results at any
-  ``--jobs`` value. ``tests/test_parallel_harness.py`` holds the
-  tripwire asserting jobs=1 and jobs=4 agree cell-for-cell.
+  (:func:`~repro.harness.experiment.cell_seed`), never from worker
+  identity, scheduling order, or wall clock — the same spec produces
+  bit-identical results at any ``--jobs`` value.
+  ``tests/test_parallel_harness.py`` holds the tripwire asserting
+  jobs=1 and jobs=4 agree cell-for-cell.
 
 Workers prefer the ``fork`` start method (cheap on Linux, inherits the
 parent's compiled-workload caches) and fall back to ``spawn`` where
@@ -29,8 +30,6 @@ fork is unavailable.
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -61,43 +60,8 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
     if jobs <= 0:
-        return max(1, multiprocessing.cpu_count())
+        return max(1, os.cpu_count() or 1)
     return jobs
-
-
-def cell_seed(spec: "RunSpec") -> int:
-    """A deterministic 32-bit seed derived from the cell's content.
-
-    Used for the randomized-counter trigger so each cell perturbs its
-    intervals differently, yet identically across processes, runs, and
-    pool sizes. Intentionally *not* Python's ``hash`` (randomized per
-    interpreter) and not derived from worker state.
-    """
-    payload = "|".join(
-        [
-            spec.workload,
-            spec.strategy.value,
-            ",".join(spec.instrumentation),
-            spec.trigger,
-            str(spec.interval),
-            str(spec.scale),
-            str(spec.timer_period),
-            str(spec.phase),
-            str(spec.yieldpoint_opt),
-        ]
-        # Planned cells mix per-function strategies, and counted
-        # backedges change the transformed program, so both are part
-        # of the cell's identity; specs at their defaults keep their
-        # historical seeds.
-        + ([str(spec.plan)] if spec.plan is not None else [])
-        + (
-            [f"iterations={spec.sample_iterations}"]
-            if spec.sample_iterations != 1
-            else []
-        )
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +188,8 @@ def _run_family(specs: List["RunSpec"]) -> List[CellOutcome]:
 
 
 def _pool_context():
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"

@@ -1,67 +1,29 @@
 """Instrumentation kinds and the exhaustive-instrumentation driver."""
 
-from repro.instrument.apply import instrument_program
-from repro.instrument.base import (
-    CombinedInstrumentation,
-    Instrumentation,
-    InstrumentationAction,
-    count_instr_ops,
-)
-from repro.instrument.cct import (
-    CCTInstrumentation,
-    CCTNode,
-    CCTSampleAction,
-    build_cct,
-    render_cct,
-)
-from repro.instrument.branch_bias import (
-    BranchBiasInstrumentation,
-    branch_biases,
-    strongly_biased_branches,
-)
-from repro.instrument.block_profile import (
-    BlockCountInstrumentation,
-    CountAction,
-    EdgeProfileInstrumentation,
-)
-from repro.instrument.call_edge import (
-    CallEdgeAction,
-    CallEdgeInstrumentation,
-    assign_call_site_ids,
-)
-from repro.instrument.field_access import (
-    FieldAccessAction,
-    FieldAccessInstrumentation,
-)
-from repro.instrument.path_profile import PathProfileInstrumentation
-from repro.instrument.value_profile import (
-    ParameterValueInstrumentation,
-    StoreValueInstrumentation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Instrumentation",
-    "InstrumentationAction",
-    "CombinedInstrumentation",
-    "count_instr_ops",
-    "instrument_program",
-    "CallEdgeInstrumentation",
-    "CCTInstrumentation",
-    "CCTNode",
-    "CCTSampleAction",
-    "build_cct",
-    "render_cct",
-    "CallEdgeAction",
-    "assign_call_site_ids",
-    "FieldAccessInstrumentation",
-    "FieldAccessAction",
-    "BlockCountInstrumentation",
-    "BranchBiasInstrumentation",
-    "branch_biases",
-    "strongly_biased_branches",
-    "EdgeProfileInstrumentation",
-    "CountAction",
-    "ParameterValueInstrumentation",
-    "StoreValueInstrumentation",
-    "PathProfileInstrumentation",
-]
+__all__ = lazy_exports(__name__, {
+    "base": (
+        "Instrumentation", "InstrumentationAction", "CombinedInstrumentation",
+        "count_instr_ops",
+    ),
+    "apply": ("instrument_program",),
+    "call_edge": (
+        "CallEdgeInstrumentation", "CallEdgeAction", "assign_call_site_ids",
+    ),
+    "cct": (
+        "CCTInstrumentation", "CCTNode", "CCTSampleAction", "build_cct",
+        "render_cct",
+    ),
+    "field_access": ("FieldAccessInstrumentation", "FieldAccessAction"),
+    "block_profile": (
+        "BlockCountInstrumentation", "EdgeProfileInstrumentation", "CountAction",
+    ),
+    "branch_bias": (
+        "BranchBiasInstrumentation", "branch_biases", "strongly_biased_branches",
+    ),
+    "value_profile": (
+        "ParameterValueInstrumentation", "StoreValueInstrumentation",
+    ),
+    "path_profile": ("PathProfileInstrumentation",),
+})

@@ -1,30 +1,15 @@
 """Classic optimizer passes: folding, peephole, DCE, inlining, unrolling."""
 
-from repro.opt.const_fold import fold_cfg
-from repro.opt.dce import dce_cfg, eliminate_dead_stores, remove_unreachable_blocks
-from repro.opt.inline import (
-    default_heuristic,
-    inline_call_site,
-    inline_function_calls,
-    inline_program,
-)
-from repro.opt.peephole import peephole_cfg
-from repro.opt.pipeline import cleanup_program, optimize_program
-from repro.opt.unroll import unroll_cfg, unroll_function, unroll_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fold_cfg",
-    "peephole_cfg",
-    "dce_cfg",
-    "eliminate_dead_stores",
-    "remove_unreachable_blocks",
-    "inline_program",
-    "inline_call_site",
-    "inline_function_calls",
-    "default_heuristic",
-    "unroll_cfg",
-    "unroll_function",
-    "unroll_program",
-    "cleanup_program",
-    "optimize_program",
-]
+__all__ = lazy_exports(__name__, {
+    "const_fold": ("fold_cfg",),
+    "peephole": ("peephole_cfg",),
+    "dce": ("dce_cfg", "eliminate_dead_stores", "remove_unreachable_blocks"),
+    "inline": (
+        "inline_program", "inline_call_site", "inline_function_calls",
+        "default_heuristic",
+    ),
+    "unroll": ("unroll_cfg", "unroll_function", "unroll_program"),
+    "pipeline": ("cleanup_program", "optimize_program"),
+})

@@ -1,39 +1,14 @@
 """Profiles and the overlap-percentage accuracy metric."""
 
-from repro.profiles.overlap import (
-    overlap_percentage,
-    overlap_series,
-    per_key_overlap,
-)
-from repro.profiles.profile import Profile
-from repro.profiles.report import (
-    ascii_bar_chart,
-    comparison_report,
-    profile_summary,
-)
-from repro.profiles.statistics import (
-    chi_square_statistic,
-    expected_overlap,
-    overlap_confidence_band,
-    profiles_consistent,
-    recommended_interval,
-    required_samples,
-    standard_errors,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Profile",
-    "overlap_percentage",
-    "per_key_overlap",
-    "overlap_series",
-    "profile_summary",
-    "comparison_report",
-    "ascii_bar_chart",
-    "standard_errors",
-    "expected_overlap",
-    "required_samples",
-    "recommended_interval",
-    "chi_square_statistic",
-    "profiles_consistent",
-    "overlap_confidence_band",
-]
+__all__ = lazy_exports(__name__, {
+    "profile": ("Profile",),
+    "overlap": ("overlap_percentage", "per_key_overlap", "overlap_series"),
+    "report": ("profile_summary", "comparison_report", "ascii_bar_chart"),
+    "statistics": (
+        "standard_errors", "expected_overlap", "required_samples",
+        "recommended_interval", "chi_square_statistic", "profiles_consistent",
+        "overlap_confidence_band",
+    ),
+})

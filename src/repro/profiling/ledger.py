@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import pathlib
 import platform
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-#: Environment variable naming the default ledger path for harness runs.
+#: Environment variable naming the default ledger path for harness runs
+#: (read by :func:`repro.harness.experiment.resolve_ledger`).
 LEDGER_ENV = "REPRO_LEDGER"
 
 #: Default ledger filename (resolved against the cwd by the CLI, and
@@ -209,12 +209,6 @@ class PerfLedger:
     def __init__(self, path: Union[str, pathlib.Path]):
         self.path = pathlib.Path(path)
 
-    @classmethod
-    def from_env(cls) -> Optional["PerfLedger"]:
-        """A ledger at ``$REPRO_LEDGER``, or None when unset."""
-        env = os.environ.get(LEDGER_ENV, "").strip()
-        return cls(env) if env else None
-
     def append(self, record: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
@@ -322,21 +316,3 @@ def _check_series(
         baseline=baseline, latest=latest, delta_pct=delta_pct,
         noise_pct=noise_pct, regressed=delta_pct > noise_pct,
     )
-
-
-def resolve_ledger(
-    ledger: Union["PerfLedger", str, pathlib.Path, bool, None]
-) -> Optional["PerfLedger"]:
-    """Interpret a ledger argument: a PerfLedger passes through, a path
-    builds one, ``None`` falls back to ``$REPRO_LEDGER`` (else None),
-    ``False`` disables explicitly (pool workers pass it so only the
-    parent ever appends), ``True`` means the default filename in cwd."""
-    if ledger is None:
-        return PerfLedger.from_env()
-    if ledger is False:
-        return None
-    if ledger is True:
-        return PerfLedger(LEDGER_FILENAME)
-    if isinstance(ledger, PerfLedger):
-        return ledger
-    return PerfLedger(ledger)

@@ -1,30 +1,13 @@
 """The virtual machine: engines, cost model, values, threads, stats."""
 
-from repro.vm.compiler import CompiledEngine
-from repro.vm.cost_model import CostModel, powerpc_ctr_model
-from repro.vm.engine import ENGINE_ENV, ENGINES, FastEngine, resolve_engine
-from repro.vm.frame import Frame, GreenThread
-from repro.vm.interpreter import VM, VMResult, run_program
-from repro.vm.tracing import ExecStats
-from repro.vm.values import RArray, RObject, Value, is_reference, truthy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VM",
-    "VMResult",
-    "run_program",
-    "FastEngine",
-    "CompiledEngine",
-    "resolve_engine",
-    "ENGINE_ENV",
-    "ENGINES",
-    "CostModel",
-    "powerpc_ctr_model",
-    "ExecStats",
-    "Frame",
-    "GreenThread",
-    "RObject",
-    "RArray",
-    "Value",
-    "is_reference",
-    "truthy",
-]
+__all__ = lazy_exports(__name__, {
+    "interpreter": ("VM", "VMResult", "run_program"),
+    "engine": ("FastEngine", "resolve_engine", "ENGINE_ENV", "ENGINES"),
+    "compiler": ("CompiledEngine",),
+    "cost_model": ("CostModel", "powerpc_ctr_model"),
+    "tracing": ("ExecStats",),
+    "frame": ("Frame", "GreenThread"),
+    "values": ("RObject", "RArray", "Value", "is_reference", "truthy"),
+})

@@ -10,6 +10,9 @@ writes, and the CLI-facing maintenance surface ride along.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import HarnessError
 from repro.harness import (
     BaselineCache,
     ExperimentRunner,
@@ -166,6 +169,17 @@ class TestRunnerIntegration:
     def test_cache_disabled_by_default_flags(self):
         assert ExperimentRunner(cache=False).baseline_cache is None
         assert ExperimentRunner(cache=None).baseline_cache is None
+
+    def test_a_file_is_not_a_cache_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "file"
+        path.write_text("")
+        with pytest.raises(HarnessError, match="is not a directory"):
+            ExperimentRunner(cache=str(path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+        with pytest.raises(HarnessError, match="is not a directory"):
+            ExperimentRunner()
+        # A directory that does not exist yet is created on first store.
+        assert ExperimentRunner(cache=str(tmp_path / "new")).baseline_cache
 
     def test_env_var_enables_cache(self, tmp_path, monkeypatch):
         from repro.harness.baseline_cache import CACHE_DIR_ENV

@@ -192,7 +192,7 @@ def test_sample_iterations_is_part_of_the_family():
     families; at the default (1) every cell keeps its historical seed."""
     from dataclasses import replace
 
-    from repro.harness.parallel import cell_seed
+    from repro.harness.experiment import cell_seed
 
     spec = RunSpec("compress", FULL, ("block-count",), trigger="counter",
                    interval=7, scale=1)

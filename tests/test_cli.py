@@ -203,6 +203,75 @@ class TestTables:
         assert "Traceback" not in err
 
 
+class TestCache:
+    @pytest.fixture()
+    def cache_dir(self, tmp_path):
+        """A cache directory holding one stored baseline."""
+        from repro.harness import ExperimentRunner
+
+        directory = tmp_path / "cache"
+        ExperimentRunner(cache=str(directory)).baseline("compress")
+        return directory
+
+    @pytest.fixture()
+    def a_file(self, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        return path
+
+    def test_info_lists_the_stored_entry(self, cache_dir, capsys):
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"cache directory: {cache_dir}"
+        assert out[1].startswith("entries: 1 (")
+        assert out[2].endswith("  compress/scale=None")
+        assert len(out) == 3
+
+    def test_clear_removes_the_stored_entry(self, cache_dir, capsys):
+        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert capsys.readouterr().out == (
+            f"removed 1 cached baseline(s) from {cache_dir}\n"
+        )
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        assert "entries: 0 (0 bytes)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "info"],
+        ["cache", "clear"],
+        ["tables", "table3", "--report"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_a_file_is_not_a_cache_directory(self, argv, a_file, capsys):
+        assert main([*argv, "--cache-dir", str(a_file)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cache directory {a_file} is not a directory\n"
+        )
+        assert a_file.read_text() == ""
+
+    def test_env_file_is_not_a_cache_directory(
+        self, a_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(a_file))
+        assert main(["cache", "info"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cache directory {a_file} is not a directory\n"
+        )
+
+
+def test_parser_values_match_their_modules():
+    """The parser spells out values it would otherwise import."""
+    from repro import cli
+    from repro.analysis.planner import BUDGETS
+    from repro.harness import tables
+    from repro.profiling import ledger
+
+    assert cli._BUDGET_NAMES == tuple(sorted(BUDGETS))
+    assert cli._LEDGER_FILENAME == ledger.LEDGER_FILENAME
+    assert cli._LEDGER_WINDOW == ledger.DEFAULT_WINDOW
+    assert cli._LEDGER_NOISE_PCT == ledger.DEFAULT_NOISE_PCT
+    for name in cli._TABLES:
+        assert callable(getattr(tables, name))
+
+
 #: Run flags whose zero value is an error, and the verbs taking each.
 _ZERO_FLAGS = [
     ("--capacity", ("trace", "metrics", "audit", "compact")),

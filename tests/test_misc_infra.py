@@ -1,6 +1,5 @@
 """Tests for smaller infrastructure: errors, disassembler details,
-paper reference data, table export, and the experiment runner's
-trigger plumbing."""
+paper reference data, and the experiment runner's trigger plumbing."""
 
 import pytest
 
@@ -11,15 +10,8 @@ from repro.bytecode import (
     Program,
     disassemble_function,
 )
-from repro.harness import ExperimentRunner, RunSpec, TableResult
+from repro.harness import ExperimentRunner, RunSpec
 from repro.harness import paper_data
-from repro.harness.export import (
-    table_from_json,
-    table_to_csv,
-    table_to_dicts,
-    table_to_json,
-    write_table,
-)
 from repro.sampling import Strategy
 from repro.workloads import paper_workload_names, workload_names
 
@@ -116,41 +108,6 @@ class TestPaperData:
         assert paper_data.PAPER_TABLE3["pbob"][0] != pytest.approx(
             paper_data.PAPER_TABLE2["pbob"][2], abs=0.01
         )
-
-
-class TestExport:
-    @pytest.fixture()
-    def table(self):
-        return TableResult(
-            title="T",
-            headers=["name", "value"],
-            rows=[["a", 1.5], ["b", None]],
-            notes=["a note"],
-        )
-
-    def test_to_dicts(self, table):
-        dicts = table_to_dicts(table)
-        assert dicts[0] == {"name": "a", "value": 1.5}
-
-    def test_json_roundtrip(self, table):
-        again = table_from_json(table_to_json(table))
-        assert again.title == table.title
-        assert again.rows == table.rows
-        assert again.notes == table.notes
-
-    def test_csv(self, table):
-        text = table_to_csv(table)
-        lines = text.strip().splitlines()
-        assert lines[0] == "name,value"
-        assert lines[1] == "a,1.5"
-        assert lines[2] == "b,"
-
-    def test_write_table_formats(self, table, tmp_path):
-        for suffix, marker in ((".json", '"title"'), (".csv", "name,value"),
-                               (".txt", "T")):
-            path = tmp_path / f"out{suffix}"
-            write_table(table, str(path))
-            assert marker in path.read_text()
 
 
 class TestRunnerTriggerPlumbing:

@@ -28,7 +28,7 @@ from repro.harness.experiment import (
     RunSpec,
     make_instrumentations,
 )
-from repro.harness.parallel import cell_seed
+from repro.harness.experiment import cell_seed
 from repro.sampling import Strategy, transform_planned
 from repro.sampling.framework import PlannedLoader
 from repro.sampling.triggers import CounterTrigger
