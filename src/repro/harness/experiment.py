@@ -889,7 +889,11 @@ class ExperimentRunner:
         and audited program, and the pool runs a family's cells in one
         task. The shared programs are dropped when the batch returns.
         """
-        from repro.harness.parallel import effective_jobs
+        from repro.harness.parallel import (
+            RunnerConfig,
+            effective_jobs,
+            run_specs,
+        )
 
         jobs = effective_jobs(jobs if jobs is not None else self.jobs)
         pending: List[RunSpec] = []
@@ -899,8 +903,6 @@ class ExperimentRunner:
                 seen.add(spec)
                 pending.append(spec)
         if pending and jobs > 1 and len(pending) > 1:
-            from repro.harness.parallel import RunnerConfig, run_specs
-
             outcomes = run_specs(
                 pending, RunnerConfig.from_runner(self), jobs
             )
@@ -1089,6 +1091,12 @@ class ExperimentRunner:
                 "compaction_accuracy needs ExperimentRunner("
                 "telemetry=True, compaction=True)"
             )
+        from repro.telemetry.exporters import (
+            compact_jsonl_to_records,
+            events_to_jsonl,
+            records_to_compact_jsonl,
+        )
+
         result = self.run(spec)
         records = result.records or ()
         perfect = self.run(
@@ -1101,12 +1109,6 @@ class ExperimentRunner:
             perfect.records or (), name="exact"
         )
         sampled_profile = sample_site_profile(records, name="suppressed")
-        from repro.telemetry.exporters import (
-            compact_jsonl_to_records,
-            events_to_jsonl,
-            records_to_compact_jsonl,
-        )
-
         events = inflate(records)
         raw_bytes = len(events_to_jsonl(events).encode("utf-8"))
         compact_text = records_to_compact_jsonl(records)
