@@ -40,6 +40,10 @@ Quickstart::
     )
     result = run_program(sampled, trigger=CounterTrigger(interval=1000))
     print(instr.profile.top(10))
+
+Every package exports its public names lazily (:mod:`repro._lazy`):
+a name's module loads on first use, so a process loads only the
+subsystems it uses.
 """
 
 from repro._lazy import lazy_exports

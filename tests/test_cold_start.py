@@ -28,8 +28,7 @@ PACKAGES = tuple(sorted(
     for path in (SRC / "repro").rglob("__init__.py")
 ))
 
-#: Modules one default cell must not load; at the time the gate was
-#: written, every one of them loaded.
+#: Modules one default cell must not load: it uses none of them.
 UNUSED_BY_A_DEFAULT_CELL = (
     "repro.adaptive",
     "repro.analysis.planner",
