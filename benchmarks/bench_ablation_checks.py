@@ -22,7 +22,7 @@ def sweep(save):
     default_runner = ExperimentRunner(cost_model=CostModel())
     fused_runner = ExperimentRunner(cost_model=powerpc_ctr_model())
     # Batch each runner's matrix through the pool ($REPRO_JOBS workers).
-    default_runner.prefetch(
+    default_runner.run_many(
         [
             RunSpec(name, strategy, instr)
             for name in NAMES
@@ -33,7 +33,7 @@ def sweep(save):
             )
         ]
     )
-    fused_runner.prefetch(
+    fused_runner.run_many(
         [RunSpec(name, Strategy.FULL_DUPLICATION, ("none",)) for name in NAMES]
     )
     for name in NAMES:

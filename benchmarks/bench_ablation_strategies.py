@@ -21,7 +21,7 @@ STRATEGIES = (
 
 def sweep(runner, save):
     # One batch for the whole matrix: fans out over $REPRO_JOBS workers.
-    runner.prefetch(
+    runner.run_many(
         [
             RunSpec(name, strategy, (kind,))
             for name in ("jess", "jack")

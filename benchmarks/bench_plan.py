@@ -61,7 +61,7 @@ def sweep(runner, save):
     for name, plan in plans.items():
         specs.append(_spec(name, Strategy.FULL_DUPLICATION, plan.key()))
         specs.extend(_spec(name, strategy) for strategy in BASELINES)
-    runner.prefetch(specs)
+    runner.run_many(specs)
 
     rows = []
     records = []

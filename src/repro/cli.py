@@ -279,10 +279,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(f"cache directory: {cache.directory}")
     print(f"entries: {len(entries)} ({cache.size_bytes()} bytes)")
     for path in entries:
-        try:
-            label = json.loads(path.read_text())["label"] or "?"
-        except (OSError, ValueError, KeyError):
-            label = "(unreadable)"
+        label = cache.label(path) or "(unreadable)"
         print(f"  {path.stem[:16]}…  {label}")
     return 0
 
@@ -780,23 +777,26 @@ def _previous_plans(path: str):
     bare StrategyPlan dict or a findings document holding several."""
     from repro.analysis import StrategyPlan
 
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    plans = {}
-    if "functions" in payload:
-        plan = StrategyPlan.from_dict(payload)
-        plans[plan.label] = plan
-    else:
-        for entry in payload.get("reports", []):
-            plan = StrategyPlan.from_dict(entry["plan"])
-            plans[plan.label] = plan
-    return plans
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if "functions" in payload:
+            entries = [payload]
+        else:
+            entries = [entry["plan"] for entry in payload["reports"]]
+        plans = [StrategyPlan.from_dict(entry) for entry in entries]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ReproError(
+            f"{path} is not a plan artifact: {type(exc).__name__}: {exc}"
+        ) from None
+    return {plan.label: plan for plan in plans}
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     from repro.analysis import plan_program
 
     kinds = _kinds(args)
+    previous = _previous_plans(args.diff) if args.diff else None
     plans = [
         plan_program(
             get_workload(name).compile(args.scale),
@@ -809,7 +809,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             args, "plan needs a FILE or --workload NAME|all", suite=True
         )
     ]
-    previous = _previous_plans(args.diff) if args.diff else None
     reports = []
     failures = 0
     for plan in plans:

@@ -187,6 +187,16 @@ class BaselineCache:
         self.stats.hits += 1
         return result
 
+    def label(self, path: pathlib.Path) -> Optional[str]:
+        """The label of the entry at *path* (``?`` when it has none), or
+        None when :meth:`get` could not read the entry."""
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            _decode_result(payload)
+        except (OSError, KeyError, TypeError, ValueError):
+            return None
+        return str(payload.get("label") or "?")
+
     def put(self, key: str, result: VMResult, label: str = "") -> bool:
         """Persist *result* under *key*; returns False when skipped."""
         if not _encodable(result):
@@ -246,9 +256,13 @@ def _encodable(result: VMResult) -> bool:
     )
 
 
-def _decode_result(payload: dict) -> VMResult:
+def _decode_result(payload: object) -> VMResult:
+    if not isinstance(payload, dict):
+        raise TypeError("cache entry is not a JSON object")
     if payload.get("schema") != CACHE_SCHEMA_VERSION:
         raise ValueError("schema mismatch")
+    if not isinstance(payload["stats"], dict):
+        raise TypeError("cache entry stats are not a JSON object")
     stats = ExecStats.from_dict(payload["stats"])
     value = payload["value"]
     output = payload["output"]

@@ -270,7 +270,7 @@ class ExperimentRunner:
             disable. The default (None) enables the cache only when
             ``$REPRO_CACHE_DIR`` is set, so ad-hoc runners stay free of
             disk side effects.
-        jobs: default worker count for :meth:`run_many`; None defers to
+        jobs: worker count for :meth:`run_many`; None defers to
             ``$REPRO_JOBS`` (else 1), <=0 means all cores.
         engine: VM execution engine for every cell ("fast",
             "reference", or "compiled"); None defers to
@@ -423,7 +423,7 @@ class ExperimentRunner:
                 self.baseline_cache.put(
                     disk_key, result, label=f"{workload_name}/scale={scale}"
                 )
-        self._record_cache_delta(cache_before)
+        self._record_cache_counts(self._cache_delta(cache_before))
         self.cell_log.append(
             CellRecord(
                 label=f"baseline:{workload_name}"
@@ -451,38 +451,20 @@ class ExperimentRunner:
             getattr(cache.stats, name) for name in self._CACHE_COUNTERS
         )
 
-    def _record_cache_delta(self, before: Tuple[int, ...]) -> None:
-        """Fold baseline-cache activity since *before* into the registry."""
-        for name, b, a in zip(
-            self._CACHE_COUNTERS, before, self._cache_counts()
-        ):
-            if a > b:
-                self.metrics.counter(
-                    f"harness.baseline_cache.{name}"
-                ).inc(a - b)
+    def _cache_delta(self, before: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Baseline-cache hits, misses and stores since *before*."""
+        return tuple(a - b for a, b in zip(self._cache_counts(), before))
 
-    def _record_cache_counts(
-        self, hits: int, misses: int, stores: int
-    ) -> None:
-        """Fold pool-worker-reported baseline-cache deltas into the
-        registry (the workers' cache handles are not ours, so their
-        activity is only visible through these counts)."""
-        for name, amount in zip(
-            self._CACHE_COUNTERS, (hits, misses, stores)
-        ):
+    def _record_cache_counts(self, counts: Tuple[int, ...]) -> None:
+        """Fold baseline-cache hits, misses and stores into the
+        registry: this runner's own, or those a pool worker reports
+        (its cache handle is not ours, so its activity is only visible
+        through these counts)."""
+        for name, amount in zip(self._CACHE_COUNTERS, counts):
             if amount > 0:
                 self.metrics.counter(
                     f"harness.baseline_cache.{name}"
                 ).inc(amount)
-
-    def _absorb_manifest(self, manifest: RunManifest) -> None:
-        self.manifests.append(manifest)
-        self.metrics.merge_snapshot(manifest.metrics)
-
-    def _absorb_profile(self, snapshot: Dict[str, object]) -> None:
-        """Collect one cell's profiler snapshot (serial or shipped back
-        from a pool worker) for the sweep-level merged profile."""
-        self.profile_snapshots.append(snapshot)
 
     def profile_summary(self) -> Dict[str, object]:
         """All absorbed cell profiles folded into one snapshot.
@@ -493,14 +475,15 @@ class ExperimentRunner:
         """
         return merge_snapshots(self.profile_snapshots)
 
-    def _ledger_append(self, spec: RunSpec, run_result: RunResult) -> None:
+    def _ledger_append(self, run_result: RunResult) -> None:
         """One perf-ledger record per computed cell (parent-side only:
-        pool workers are built without a ledger, so each cell is
-        recorded exactly once, here, when its result lands)."""
+        pool workers drop their copy's ledger, so each cell is recorded
+        exactly once, when the parent keeps it)."""
         if self.ledger is None or run_result.vm_seconds <= 0:
             return
         from repro.profiling.ledger import make_record
 
+        spec = run_result.spec
         stats = run_result.stats
         self.ledger.append(
             make_record(
@@ -537,10 +520,9 @@ class ExperimentRunner:
 
         Results are memoized: cells are deterministic, so a repeated
         spec returns the first computation's result unchanged. A lone
-        call is a cell family of one; :meth:`run_many` shares each
-        family's transform across its cells.
+        call is a batch of one cell (:meth:`run_many`).
         """
-        return self._run(spec, {})
+        return self.run_many([spec])[0]
 
     def _family(
         self, spec: RunSpec, program: Program, families: Dict[tuple, _Family]
@@ -595,7 +577,6 @@ class ExperimentRunner:
                 program, None if checks_only else instrumentations
             )
         seconds = time.perf_counter() - t0
-        self.metrics.counter("harness.transform.families").inc()
 
         audit_report = audit_program(
             transformed,
@@ -616,24 +597,20 @@ class ExperimentRunner:
             audit=audit_report,
         )
 
-    def _run(self, spec: RunSpec, families: Dict[tuple, _Family]) -> RunResult:
-        """:meth:`run`, with *spec*'s family looked up in (and added
-        to) the batch map *families*."""
-        memoized = self._run_memo.get(spec)
-        if memoized is not None:
-            self.memo_hits += 1
-            return memoized
+    def _compute(
+        self, spec: RunSpec, families: Dict[tuple, _Family]
+    ) -> Tuple[RunResult, CellRecord]:
+        """Compute one cell: transform its family (looked up in, and
+        added to, the batch map *families*), run, check, and build the
+        manifest. Of the runner's state it touches only the baselines
+        (with their log records and cache counts), so a pool worker's
+        copy of the runner computes what the parent would; :meth:`_keep`
+        keeps the cell."""
         cell_started = time.perf_counter()
         program, base_result = self.baseline(spec.workload, spec.scale)
         family = self._family(spec, program, families)
         transformed = family.program
-
         audit_report = _relabeled(family.audit, spec.describe())
-        self.metrics.counter("harness.audit.cells").inc()
-        if audit_report.findings:
-            self.metrics.counter("harness.audit.findings").inc(
-                len(audit_report.findings)
-            )
 
         # Dynamic programs change their function table mid-run, so the
         # pre-run certificate stops describing the executed code: an
@@ -773,7 +750,6 @@ class ExperimentRunner:
             if spec.plan is not None
             else reconcile(certificate, result.stats)
         )
-        self.metrics.counter("harness.audit.reconciled").inc()
         if not verdict.ok:
             self.metrics.counter(
                 "harness.audit.reconcile_violations"
@@ -789,7 +765,6 @@ class ExperimentRunner:
         if profiler is not None:
             snapshot = profiler.snapshot()
             prof_verdict = reconcile_profile(snapshot)
-            self.metrics.counter("harness.profile.cells").inc()
             if not prof_verdict.ok:
                 raise HarnessError(
                     f"{spec.describe()}: profiler sample bound violated: "
@@ -801,7 +776,6 @@ class ExperimentRunner:
                 "decomposition": decomposition.as_dict(),
                 "bound": prof_verdict.as_dict(),
             }
-            self._absorb_profile(snapshot)
 
         # Copies: the family's instrumentations record the next cell too.
         profiles = {
@@ -833,7 +807,6 @@ class ExperimentRunner:
                 # end-of-run state and the manifest agree bit-for-bit.
                 recorder.close()
                 run_result.spool = str(recorder.writer.path)
-                self.metrics.counter("harness.stream.cells").inc()
             run_result.records = recorder.records()
             run_result.manifest = RunManifest(
                 spec=spec_as_dict(spec),
@@ -860,91 +833,69 @@ class ExperimentRunner:
                 profiling=profile_payload or {},
                 plan=_plan_section(spec),
             )
-            self._absorb_manifest(run_result.manifest)
-        self._run_memo[spec] = run_result
-        self._ledger_append(spec, run_result)
-        self.cell_log.append(
-            CellRecord(
-                label=spec.describe(),
-                seconds=cell_seconds,
-                source="serial",
+        return run_result, CellRecord(spec.describe(), cell_seconds, "serial")
+
+    def _keep(self, result: RunResult, record: CellRecord) -> None:
+        """Keep one computed cell, wherever it ran: memoize it, absorb
+        its manifest and profile, count it, append it to the ledger and
+        log it."""
+        self._run_memo[result.spec] = result
+        self.metrics.counter("harness.audit.cells").inc()
+        if result.audit.findings:
+            self.metrics.counter("harness.audit.findings").inc(
+                len(result.audit.findings)
             )
-        )
-        return run_result
+        self.metrics.counter("harness.audit.reconciled").inc()
+        if result.profile is not None:
+            self.metrics.counter("harness.profile.cells").inc()
+            self.profile_snapshots.append(result.profile["snapshot"])
+        if result.spool is not None:
+            self.metrics.counter("harness.stream.cells").inc()
+        if result.manifest is not None:
+            result.manifest.source = record.source
+            self.manifests.append(result.manifest)
+            self.metrics.merge_snapshot(result.manifest.metrics)
+        self._ledger_append(result)
+        self.cell_log.append(record)
 
     # -- batched / parallel execution ---------------------------------------------
 
-    def run_many(
-        self, specs: Sequence[RunSpec], jobs: Optional[int] = None
-    ) -> List[RunResult]:
-        """Run every spec, fanning uncomputed cells over worker
-        processes when more than one job is configured.
-
-        The returned list matches *specs* positionally. Cells are
-        deterministic, so the outcome is bit-identical to a serial
-        loop regardless of the worker count; only wall time changes.
+    def run_many(self, specs: Sequence[RunSpec]) -> List[RunResult]:
+        """Run every spec; the returned list matches *specs*
+        positionally.
 
         The batch transforms each cell family (:meth:`RunSpec.
         family_key`) once: its cells share the instrumented, verified
-        and audited program, and the pool runs a family's cells in one
-        task. The shared programs are dropped when the batch returns.
+        and audited program, which is dropped when the batch returns.
+        When the uncomputed cells span two or more families and the
+        runner has more than one job, the families run on worker
+        processes, one task each. Cells are deterministic, so the
+        outcome is bit-identical to a serial loop regardless of the
+        worker count; only wall time changes.
         """
-        from repro.harness.parallel import (
-            RunnerConfig,
-            effective_jobs,
-            run_specs,
+        pending = list(
+            dict.fromkeys(spec for spec in specs if spec not in self._run_memo)
         )
+        self.memo_hits += len(specs) - len(pending)
+        families = len({spec.family_key() for spec in pending})
+        if families:
+            self.metrics.counter("harness.transform.families").inc(families)
+        jobs = 1
+        if families > 1:
+            from repro.harness.parallel import effective_jobs
 
-        jobs = effective_jobs(jobs if jobs is not None else self.jobs)
-        pending: List[RunSpec] = []
-        seen = set()
-        for spec in specs:
-            if spec not in self._run_memo and spec not in seen:
-                seen.add(spec)
-                pending.append(spec)
-        if pending and jobs > 1 and len(pending) > 1:
-            outcomes = run_specs(
-                pending, RunnerConfig.from_runner(self), jobs
-            )
-            self.metrics.counter("harness.transform.families").inc(
-                len({spec.family_key() for spec in pending})
-            )
-            for spec, outcome in zip(pending, outcomes):
-                self._run_memo[spec] = outcome.result
-                self._record_cache_counts(
-                    outcome.cache_hits,
-                    outcome.cache_misses,
-                    outcome.cache_stores,
-                )
-                manifest = outcome.result.manifest
-                if manifest is not None:
-                    manifest.source = f"pool:{outcome.worker_pid}"
-                    self._absorb_manifest(manifest)
-                profile_payload = outcome.result.profile
-                if profile_payload is not None:
-                    self._absorb_profile(profile_payload["snapshot"])
-                self._ledger_append(spec, outcome.result)
-                self.cell_log.append(
-                    CellRecord(
-                        label=spec.describe(),
-                        seconds=outcome.seconds,
-                        source=f"pool:{outcome.worker_pid}",
-                        baseline_cache_hit=outcome.baseline_cache_hit,
-                    )
-                )
-        families: Dict[tuple, _Family] = {}
-        return [self._run(spec, families) for spec in specs]
+            jobs = effective_jobs(self.jobs)
+        if jobs > 1:
+            from repro.harness.parallel import run_specs
 
-    def prefetch(
-        self, specs: Sequence[RunSpec], jobs: Optional[int] = None
-    ) -> None:
-        """Populate the memo for *specs* (parallel when configured).
-
-        Table generators call this with their full experiment matrix
-        before assembling rows, so row construction itself stays a
-        sequence of memo hits and each cell family is transformed once.
-        """
-        self.run_many(specs, jobs=jobs)
+            for result, record, cache_counts in run_specs(self, pending, jobs):
+                self._record_cache_counts(cache_counts)
+                self._keep(result, record)
+        else:
+            shared: Dict[tuple, _Family] = {}
+            for spec in pending:
+                self._keep(*self._compute(spec, shared))
+        return [self._run_memo[spec] for spec in specs]
 
     # -- reporting ----------------------------------------------------------------
 
@@ -1038,23 +989,6 @@ class ExperimentRunner:
                 instrumentation=instrumentation,
                 trigger="counter",
                 interval=1,
-                scale=scale,
-            )
-        )
-        return result.profiles
-
-    def exhaustive_profiles(
-        self,
-        workload_name: str,
-        instrumentation: Tuple[str, ...],
-        scale: Optional[int] = None,
-    ) -> Dict[str, Profile]:
-        """Profiles from a plain exhaustive run (every event counted)."""
-        result = self.run(
-            RunSpec(
-                workload=workload_name,
-                strategy=Strategy.EXHAUSTIVE,
-                instrumentation=instrumentation,
                 scale=scale,
             )
         )
@@ -1159,8 +1093,7 @@ class ExperimentRunner:
         """The workload × strategy accuracy matrix: one
         :meth:`compaction_accuracy` report per cell, full suite and
         :data:`COMPACTION_MATRIX_STRATEGIES` by default. Every cell and
-        its perfect-interval twin are prefetched in one batch (in
-        parallel when the runner has jobs)."""
+        its perfect-interval twin run in one :meth:`run_many` batch."""
         if workloads is None:
             workloads = workload_names()
         if strategies is None:
@@ -1177,7 +1110,7 @@ class ExperimentRunner:
             for name in workloads
             for strategy in strategies
         ]
-        self.prefetch(
+        self.run_many(
             specs + [replace(s, interval=perfect_interval) for s in specs]
         )
         return [
@@ -1260,11 +1193,10 @@ def resolve_ledger(
 ) -> Optional[PerfLedger]:
     """Interpret a ledger argument: a PerfLedger passes through, a path
     builds one, ``None`` falls back to ``$REPRO_LEDGER`` (else None),
-    ``False`` disables explicitly (pool workers pass it so only the
-    parent ever appends), ``True`` means the default filename in cwd.
-    Like :func:`_resolve_cache`, it loads the ledger module only when a
-    ledger is asked for, so ``$REPRO_LEDGER`` (``ledger.LEDGER_ENV``)
-    is spelled out here."""
+    ``False`` disables explicitly, ``True`` means the default filename
+    in cwd. Like :func:`_resolve_cache`, it loads the ledger module only
+    when a ledger is asked for, so ``$REPRO_LEDGER``
+    (``ledger.LEDGER_ENV``) is spelled out here."""
     if ledger is None:
         ledger = os.environ.get("REPRO_LEDGER", "").strip() or False
     if ledger is False:

@@ -3,19 +3,23 @@
 The experiment matrix behind every table and figure is embarrassingly
 parallel — each (workload x strategy x trigger x interval) cell is an
 independent, deterministic simulation. This module provides the pool
-that :meth:`repro.harness.ExperimentRunner.run_many` fans cells out
-over:
+that :meth:`repro.harness.ExperimentRunner.run_many` fans a batch out
+over when its uncomputed cells span two or more cell families and the
+runner has more than one job:
 
-* each worker process builds its own :class:`ExperimentRunner` from a
-  picklable :class:`RunnerConfig` (cost model, fuel, cache directory,
-  observers) in its initializer, so per-workload compilation and
-  baseline execution happen at most once per worker — or once *ever*
-  when a persistent baseline cache directory is shared;
+* each worker adopts the parent's :class:`ExperimentRunner` in its
+  initializer — inherited under ``fork``, pickled under ``spawn`` — so
+  every runner option reaches the workers with no list to keep, and
+  workers reuse the baselines the parent already holds (a shared
+  baseline cache directory spares the rest). The worker drops its
+  ledger: the parent keeps every cell, so only it appends;
 * cells are dispatched one *cell family* per task (``chunksize=1``;
-  :meth:`~repro.harness.RunSpec.family_key`): the worker runs the
-  family's cells in order on one shared transformed program, and the
-  outcomes are unpacked back into submission order, so the caller sees
-  the exact list it would get from a serial loop;
+  :meth:`~repro.harness.RunSpec.family_key`): the worker *computes*
+  the family's cells in order on one shared transformed program and
+  ships each back with its log record and baseline-cache deltas. The
+  parent *keeps* them in batch order through the same step as a serial
+  cell, so the caller sees the exact list, manifests, counters and cell
+  log it would get from a serial loop;
 * every cell is seeded deterministically from its spec content
   (:func:`~repro.harness.experiment.cell_seed`), never from worker
   identity, scheduling order, or wall clock — the same spec produces
@@ -31,15 +35,18 @@ fork is unavailable.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
-from repro.vm.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.experiment import RunResult, RunSpec
+    from repro.harness.experiment import (
+        CellRecord, ExperimentRunner, RunResult, RunSpec,
+    )
+
+    #: A cell computed by a worker: its result, its log record, and the
+    #: baseline-cache (hits, misses, stores) it caused in the worker.
+    PooledCell = Tuple[RunResult, CellRecord, Tuple[int, ...]]
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -68,123 +75,32 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
 # worker plumbing
 
 
-@dataclass(frozen=True)
-class RunnerConfig:
-    """Everything a worker needs to rebuild the parent's runner."""
-
-    cost_model: CostModel
-    fuel: int
-    cache_dir: Optional[str] = None
-    engine: str = "fast"
-    telemetry: bool = False
-    telemetry_capacity: int = 65536
-    compaction: bool = False
-    #: self-profiling travels to workers; the perf ledger deliberately
-    #: does not — cells computed in a pool are appended by the parent
-    #: (see ExperimentRunner._ledger_append), keeping the append-only
-    #: file single-writer.
-    profile: bool = False
-    profile_interval: int = 64
-    #: live-export spool root; workers derive the same per-cell spool
-    #: paths as the parent (cell_seed is content-addressed), so a
-    #: streamed sweep produces one spool per cell wherever it ran.
-    stream: Optional[str] = None
-
-    @classmethod
-    def from_runner(cls, runner) -> "RunnerConfig":
-        cache = runner.baseline_cache
-        return cls(
-            cost_model=runner.cost_model,
-            fuel=runner.fuel,
-            cache_dir=str(cache.directory) if cache is not None else None,
-            engine=runner.engine,
-            telemetry=runner.telemetry,
-            telemetry_capacity=runner.telemetry_capacity,
-            compaction=runner.compaction,
-            profile=runner.profile,
-            profile_interval=runner.profile_interval,
-            stream=runner.stream,
-        )
-
-    def build_runner(self):
-        from repro.harness.experiment import ExperimentRunner
-
-        return ExperimentRunner(
-            cost_model=self.cost_model,
-            fuel=self.fuel,
-            cache=self.cache_dir if self.cache_dir is not None else False,
-            jobs=1,
-            engine=self.engine,
-            telemetry=self.telemetry,
-            telemetry_capacity=self.telemetry_capacity,
-            compaction=self.compaction,
-            profile=self.profile,
-            profile_interval=self.profile_interval,
-            ledger=False,
-            stream=self.stream,
-        )
+_WORKER_RUNNER: Optional["ExperimentRunner"] = None
 
 
-@dataclass
-class CellOutcome:
-    """One executed cell plus its provenance and timing.
-
-    ``cache_hits``/``cache_misses``/``cache_stores`` are per-cell
-    baseline-cache deltas observed in the worker; the parent folds them
-    into its metrics registry so the timing report's cache accounting
-    covers pool cells too (a worker's cache handle is invisible to the
-    parent's ``BaselineCache.stats``).
-    """
-
-    result: "RunResult"
-    seconds: float
-    worker_pid: int
-    baseline_cache_hit: bool
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-
-
-_WORKER_RUNNER = None
-
-
-def _init_worker(config: RunnerConfig) -> None:
+def _init_worker(runner: "ExperimentRunner") -> None:
+    """Adopt the parent's runner. Its ledger goes, so only the parent
+    appends: it keeps every cell a worker computes."""
     global _WORKER_RUNNER
-    _WORKER_RUNNER = config.build_runner()
+    runner.ledger = None
+    _WORKER_RUNNER = runner
 
 
-def _run_cell(spec: "RunSpec", families: dict) -> CellOutcome:
-    runner = _WORKER_RUNNER
-    if runner is None:  # pragma: no cover - initializer always runs
-        raise RuntimeError("worker pool used without initialization")
-    cache = runner.baseline_cache
-    if cache is not None:
-        before = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
-    else:
-        before = (0, 0, 0)
-    started = time.perf_counter()
-    result = runner._run(spec, families)
-    seconds = time.perf_counter() - started
-    if cache is not None:
-        after = (cache.stats.hits, cache.stats.misses, cache.stats.stores)
-    else:
-        after = before
-    return CellOutcome(
-        result=result,
-        seconds=seconds,
-        worker_pid=os.getpid(),
-        baseline_cache_hit=after[0] > before[0],
-        cache_hits=after[0] - before[0],
-        cache_misses=after[1] - before[1],
-        cache_stores=after[2] - before[2],
-    )
-
-
-def _run_family(specs: List["RunSpec"]) -> List[CellOutcome]:
+def _run_family(specs: List["RunSpec"]) -> List[PooledCell]:
     """One pool task: a cell family's cells, in order, sharing one
-    transformed program."""
+    transformed program. Each cell comes back with its log record and
+    the baseline-cache hits, misses and stores it caused here."""
+    runner = _WORKER_RUNNER
     families: dict = {}
-    return [_run_cell(spec, families) for spec in specs]
+    cells = []
+    for spec in specs:
+        before = runner._cache_counts()
+        result, record = runner._compute(spec, families)
+        cache_counts = runner._cache_delta(before)
+        record.source = f"pool:{os.getpid()}"
+        record.baseline_cache_hit = cache_counts[0] > 0
+        cells.append((result, record, cache_counts))
+    return cells
 
 
 def _pool_context():
@@ -197,43 +113,24 @@ def _pool_context():
 
 
 def run_specs(
-    specs: Sequence["RunSpec"],
-    config: RunnerConfig,
-    jobs: int,
-) -> List[CellOutcome]:
-    """Execute *specs* over *jobs* worker processes, in order.
-
-    Each task is one cell family's specs. Falls back to an in-process
-    loop for jobs<=1 or a single family, so callers can route
-    everything through one entry point.
-    """
+    runner: "ExperimentRunner", specs: Sequence["RunSpec"], jobs: int
+) -> List[PooledCell]:
+    """Compute *specs* on *jobs* worker processes that adopt *runner*,
+    one task per cell family, and return the cells in *specs* order.
+    The caller keeps them."""
     groups: Dict[tuple, List[int]] = {}
     for index, spec in enumerate(specs):
         groups.setdefault(spec.family_key(), []).append(index)
     tasks = [[specs[i] for i in indices] for indices in groups.values()]
-    jobs = max(1, jobs)
-    if jobs == 1 or len(tasks) <= 1:
-        _init_worker(config)
-        try:
-            done = [_run_family(task) for task in tasks]
-        finally:
-            _reset_worker()
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(
-            processes=min(jobs, len(tasks)),
-            initializer=_init_worker,
-            initargs=(config,),
-        ) as pool:
-            done = pool.map(_run_family, tasks, chunksize=1)
+    with _pool_context().Pool(
+        processes=min(jobs, len(tasks)),
+        initializer=_init_worker,
+        initargs=(runner,),
+    ) as pool:
+        done = pool.map(_run_family, tasks, chunksize=1)
     by_index = {
-        index: outcome
-        for indices, family_outcomes in zip(groups.values(), done)
-        for index, outcome in zip(indices, family_outcomes)
+        index: cell
+        for indices, cells in zip(groups.values(), done)
+        for index, cell in zip(indices, cells)
     }
     return [by_index[index] for index in range(len(specs))]
-
-
-def _reset_worker() -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = None

@@ -53,37 +53,26 @@ def interval_sweep(
     Accuracy is the mean overlap across the instrumentation kinds,
     against the strategy's interval-1 perfect profiles.
     """
-    # One batch for the whole sweep (perfect profile = interval 1):
-    # fans out over the worker pool when the runner has jobs > 1.
-    runner.prefetch(
-        [
-            RunSpec(
-                workload,
-                strategy,
-                instrumentation,
-                trigger="counter",
-                interval=interval,
-                scale=scale,
-            )
-            for interval in sorted(set(intervals) | {1})
-        ]
-    )
+    # One batch for the whole sweep, with the perfect profile
+    # (interval 1).
+    grid = sorted(set(intervals) | {1})
+    specs = [
+        RunSpec(
+            workload,
+            strategy,
+            instrumentation,
+            trigger="counter",
+            interval=interval,
+            scale=scale,
+        )
+        for interval in grid
+    ]
+    results = dict(zip(grid, runner.run_many(specs)))
     base_cycles = runner.baseline_cycles(workload, scale)
-    perfect = runner.perfect_profiles(
-        workload, instrumentation, scale, strategy=strategy
-    )
+    perfect = results[1].profiles
     points: List[SweepPoint] = []
     for interval in intervals:
-        result = runner.run(
-            RunSpec(
-                workload,
-                strategy,
-                instrumentation,
-                trigger="counter",
-                interval=interval,
-                scale=scale,
-            )
-        )
+        result = results[interval]
         overlaps = [
             overlap_percentage(perfect[kind], result.profiles[kind])
             for kind in perfect

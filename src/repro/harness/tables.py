@@ -6,15 +6,17 @@ place our measured values next to the paper's published ones. The
 ``benchmarks/`` directory has one pytest-benchmark harness per
 generator; EXPERIMENTS.md records a captured run.
 
-Every generator first *enumerates* its full experiment matrix and
-hands it to :meth:`ExperimentRunner.prefetch`. That one batch
+Every generator *enumerates* its full experiment matrix once, keyed by
+row coordinates, runs it as one :meth:`ExperimentRunner.run_many`
+batch and reads its rows from the returned results. That batch
 transforms, verifies and audits each cell family once (the cells that
 differ only in trigger, interval, phase, timer period or seed — Table
-4's interval sweep, Table 5's trigger grid), and fans the families
-over the worker pool when the runner is configured with ``jobs > 1``
-(``--jobs`` / ``$REPRO_JOBS``). Row assembly then runs as a sequence of
-memo hits, so a parallel run is cell-for-cell identical to a serial
-one. Table 2's ``xform ms`` is the family's single transform time.
+4's interval sweep, Table 5's trigger grid), and fans the families over
+the worker pool when the runner is configured with ``jobs > 1``
+(``--jobs`` / ``$REPRO_JOBS``), so a parallel run is cell-for-cell
+identical to a serial one. Table 5 matches its counter grid to its
+timer runs, so it runs two batches. Table 2's ``xform ms`` is the
+family's single transform time.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.harness import paper_data
 from repro.harness.experiment import (
     ExperimentRunner,
+    RunResult,
     RunSpec,
     overhead_percent,
 )
 from repro.harness.formatting import mean, render_table
 from repro.profiles.overlap import overlap_percentage, overlap_series
-from repro.profiles.profile import Profile
 from repro.sampling.framework import Strategy
 from repro.workloads.suite import workload_names
 
@@ -58,6 +60,75 @@ def _suite(workloads: Optional[Sequence[str]]) -> List[str]:
     return list(workloads) if workloads is not None else workload_names()
 
 
+def _run_matrix(
+    runner: ExperimentRunner, matrix: Dict[tuple, RunSpec]
+) -> Dict[tuple, RunResult]:
+    """Run a matrix keyed by row coordinates as one batch."""
+    return dict(zip(matrix, runner.run_many(list(matrix.values()))))
+
+
+def _overhead(runner: ExperimentRunner, result: RunResult) -> float:
+    """*result*'s total overhead over its workload's baseline, percent."""
+    spec = result.spec
+    return overhead_percent(
+        runner.baseline_cycles(spec.workload, spec.scale), result.cycles
+    )
+
+
+#: The two instrumentations the paper measures throughout.
+_CALL_FIELD = ("call-edge", "field-access")
+
+
+def _per_kind_table(
+    runner: Optional[ExperimentRunner],
+    workloads: Optional[Sequence[str]],
+    scale: Optional[int],
+    strategy: Strategy,
+    paper: Dict[str, Tuple[float, float]],
+    paper_avg: Tuple[float, float],
+    title: str,
+) -> TableResult:
+    """Tables 1 and 3: the overhead of call-edge and of field-access
+    instrumentation, each alone, under *strategy*."""
+    runner = runner or ExperimentRunner()
+    suite = _suite(workloads)
+    cells = _run_matrix(
+        runner,
+        {
+            (name, kind): RunSpec(name, strategy, (kind,), scale=scale)
+            for name in suite
+            for kind in _CALL_FIELD
+        },
+    )
+    rows: List[List] = []
+    for name in suite:
+        call, fld = (
+            _overhead(runner, cells[name, kind]) for kind in _CALL_FIELD
+        )
+        published = paper.get(name, (None, None))
+        rows.append([name, call, published[0], fld, published[1]])
+    rows.append(
+        [
+            "AVERAGE",
+            mean([row[1] for row in rows]),
+            paper_avg[0],
+            mean([row[3] for row in rows]),
+            paper_avg[1],
+        ]
+    )
+    return TableResult(
+        title=title,
+        headers=[
+            "benchmark",
+            "call-edge",
+            "(paper)",
+            "field-access",
+            "(paper)",
+        ],
+        rows=rows,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Table 1 — exhaustive instrumentation overhead
 
@@ -68,48 +139,10 @@ def table1(
     scale: Optional[int] = None,
 ) -> TableResult:
     """Exhaustive call-edge / field-access overhead (no framework)."""
-    runner = runner or ExperimentRunner()
-    suite = _suite(workloads)
-    runner.prefetch(
-        [
-            RunSpec(name, Strategy.EXHAUSTIVE, (kind,), scale=scale)
-            for name in suite
-            for kind in ("call-edge", "field-access")
-        ]
-    )
-    rows: List[List] = []
-    measured_call: List[float] = []
-    measured_field: List[float] = []
-    for name in suite:
-        call = runner.overhead_pct(
-            RunSpec(name, Strategy.EXHAUSTIVE, ("call-edge",), scale=scale)
-        )
-        fld = runner.overhead_pct(
-            RunSpec(name, Strategy.EXHAUSTIVE, ("field-access",), scale=scale)
-        )
-        measured_call.append(call)
-        measured_field.append(fld)
-        paper = paper_data.PAPER_TABLE1.get(name, (None, None))
-        rows.append([name, call, paper[0], fld, paper[1]])
-    rows.append(
-        [
-            "AVERAGE",
-            mean(measured_call),
-            paper_data.PAPER_TABLE1_AVG[0],
-            mean(measured_field),
-            paper_data.PAPER_TABLE1_AVG[1],
-        ]
-    )
-    return TableResult(
-        title="Table 1: exhaustive instrumentation overhead (%)",
-        headers=[
-            "benchmark",
-            "call-edge",
-            "(paper)",
-            "field-access",
-            "(paper)",
-        ],
-        rows=rows,
+    return _per_kind_table(
+        runner, workloads, scale, Strategy.EXHAUSTIVE,
+        paper_data.PAPER_TABLE1, paper_data.PAPER_TABLE1_AVG,
+        "Table 1: exhaustive instrumentation overhead (%)",
     )
 
 
@@ -127,74 +160,51 @@ def table2(
     transform-time accounting."""
     runner = runner or ExperimentRunner()
     suite = _suite(workloads)
-    runner.prefetch(
-        [
-            spec
+    cells = _run_matrix(
+        runner,
+        {
+            (name, strategy): RunSpec(name, strategy, kinds, scale=scale)
             for name in suite
-            for spec in (
-                RunSpec(name, Strategy.FULL_DUPLICATION, ("none",), scale=scale),
-                RunSpec(name, Strategy.CHECKS_ONLY_BACKEDGE, (), scale=scale),
-                RunSpec(name, Strategy.CHECKS_ONLY_ENTRY, (), scale=scale),
+            for strategy, kinds in (
+                (Strategy.FULL_DUPLICATION, ("none",)),
+                (Strategy.CHECKS_ONLY_BACKEDGE, ()),
+                (Strategy.CHECKS_ONLY_ENTRY, ()),
             )
-        ]
+        },
     )
     rows: List[List] = []
-    totals: List[float] = []
-    backs: List[float] = []
-    entries: List[float] = []
-    spaces: List[float] = []
-    times: List[float] = []
     for name in suite:
         program, _ = runner.baseline(name, scale)
-        base_cycles = runner.baseline_cycles(name, scale)
-        base_bytes = program.total_code_size_bytes()
-
-        full = runner.run(
-            RunSpec(name, Strategy.FULL_DUPLICATION, ("none",), scale=scale)
-        )
-        total_pct = overhead_percent(base_cycles, full.cycles)
-        back_pct = runner.overhead_pct(
-            RunSpec(name, Strategy.CHECKS_ONLY_BACKEDGE, (), scale=scale)
-        )
-        entry_pct = runner.overhead_pct(
-            RunSpec(name, Strategy.CHECKS_ONLY_ENTRY, (), scale=scale)
-        )
-        space_kb = (full.code_bytes - base_bytes) / 1024.0
-        # Transform time relative to a from-scratch compile is what the
-        # paper's "compile time increase" measures; we report the
-        # duplication pass time in ms (informational — Python timing).
-        transform_ms = full.transform_seconds * 1000.0
-
-        totals.append(total_pct)
-        backs.append(back_pct)
-        entries.append(entry_pct)
-        spaces.append(space_kb)
-        times.append(transform_ms)
+        full = cells[name, Strategy.FULL_DUPLICATION]
         paper = paper_data.PAPER_TABLE2.get(name, (None,) * 5)
         rows.append(
             [
                 name,
-                total_pct,
+                _overhead(runner, full),
                 paper[0],
-                back_pct,
+                _overhead(runner, cells[name, Strategy.CHECKS_ONLY_BACKEDGE]),
                 paper[1],
-                entry_pct,
+                _overhead(runner, cells[name, Strategy.CHECKS_ONLY_ENTRY]),
                 paper[2],
-                space_kb,
-                transform_ms,
+                (full.code_bytes - program.total_code_size_bytes()) / 1024.0,
+                # Transform time relative to a from-scratch compile is
+                # what the paper's "compile time increase" measures; we
+                # report the duplication pass time in ms (informational
+                # — Python timing).
+                full.transform_seconds * 1000.0,
             ]
         )
     rows.append(
         [
             "AVERAGE",
-            mean(totals),
+            mean([row[1] for row in rows]),
             paper_data.PAPER_TABLE2_AVG[0],
-            mean(backs),
+            mean([row[3] for row in rows]),
             paper_data.PAPER_TABLE2_AVG[1],
-            mean(entries),
+            mean([row[5] for row in rows]),
             paper_data.PAPER_TABLE2_AVG[2],
-            mean(spaces),
-            mean(times),
+            mean([row[7] for row in rows]),
+            mean([row[8] for row in rows]),
         ]
     )
     return TableResult(
@@ -230,83 +240,15 @@ def table3(
     scale: Optional[int] = None,
 ) -> TableResult:
     """No-Duplication checking overhead (no samples taken)."""
-    runner = runner or ExperimentRunner()
-    suite = _suite(workloads)
-    runner.prefetch(
-        [
-            RunSpec(name, Strategy.NO_DUPLICATION, (kind,), scale=scale)
-            for name in suite
-            for kind in ("call-edge", "field-access")
-        ]
-    )
-    rows: List[List] = []
-    calls: List[float] = []
-    fields: List[float] = []
-    for name in suite:
-        call = runner.overhead_pct(
-            RunSpec(name, Strategy.NO_DUPLICATION, ("call-edge",), scale=scale)
-        )
-        fld = runner.overhead_pct(
-            RunSpec(
-                name, Strategy.NO_DUPLICATION, ("field-access",), scale=scale
-            )
-        )
-        calls.append(call)
-        fields.append(fld)
-        paper = paper_data.PAPER_TABLE3.get(name, (None, None))
-        rows.append([name, call, paper[0], fld, paper[1]])
-    rows.append(
-        [
-            "AVERAGE",
-            mean(calls),
-            paper_data.PAPER_TABLE3_AVG[0],
-            mean(fields),
-            paper_data.PAPER_TABLE3_AVG[1],
-        ]
-    )
-    return TableResult(
-        title="Table 3: No-Duplication checking overhead (%)",
-        headers=[
-            "benchmark",
-            "call-edge",
-            "(paper)",
-            "field-access",
-            "(paper)",
-        ],
-        rows=rows,
+    return _per_kind_table(
+        runner, workloads, scale, Strategy.NO_DUPLICATION,
+        paper_data.PAPER_TABLE3, paper_data.PAPER_TABLE3_AVG,
+        "Table 3: No-Duplication checking overhead (%)",
     )
 
 
 # ---------------------------------------------------------------------------
 # Table 4 — sampled overhead and accuracy vs interval
-
-
-def _accuracy_for(
-    runner: ExperimentRunner,
-    name: str,
-    strategy: Strategy,
-    interval: int,
-    scale: Optional[int],
-    perfect: Dict[str, Profile],
-) -> Tuple[float, float, float, int]:
-    """(call acc, field acc, total cycles, samples) for one config."""
-    result = runner.run(
-        RunSpec(
-            name,
-            strategy,
-            ("call-edge", "field-access"),
-            trigger="counter",
-            interval=interval,
-            scale=scale,
-        )
-    )
-    call_acc = overlap_percentage(
-        perfect["call-edge"], result.profiles["call-edge"]
-    )
-    field_acc = overlap_percentage(
-        perfect["field-access"], result.profiles["field-access"]
-    )
-    return call_acc, field_acc, result.cycles, result.stats.samples_taken
 
 
 def table4(
@@ -320,54 +262,22 @@ def table4(
     runner = runner or ExperimentRunner()
     intervals = list(intervals or paper_data.PAPER_INTERVALS)
     suite = _suite(workloads)
-    strategies = (Strategy.FULL_DUPLICATION, Strategy.NO_DUPLICATION)
-    kinds = ("call-edge", "field-access")
-    prefetch: List[RunSpec] = []
-    for name in suite:
-        for strategy in strategies:
-            prefetch.append(
-                RunSpec(
-                    name, strategy, kinds,
-                    trigger="counter", interval=1, scale=scale,
-                )
+    # Per (workload, strategy): the perfect profile (the paper's
+    # interval-1 definition), the framework alone (no trigger, key
+    # None), and every sampled interval.
+    cells = _run_matrix(
+        runner,
+        {
+            (name, strategy, interval): RunSpec(
+                name, strategy, _CALL_FIELD,
+                trigger="never" if interval is None else "counter",
+                interval=interval, scale=scale,
             )
-            prefetch.append(
-                RunSpec(name, strategy, kinds, trigger="never", scale=scale)
-            )
-            prefetch.extend(
-                RunSpec(
-                    name, strategy, kinds,
-                    trigger="counter", interval=interval, scale=scale,
-                )
-                for interval in intervals
-            )
-    runner.prefetch(prefetch)
-
-    # Per-strategy perfect profiles (the paper's interval-1 definition).
-    perfects = {
-        (name, strategy): runner.perfect_profiles(
-            name, ("call-edge", "field-access"), scale, strategy=strategy
-        )
-        for name in suite
-        for strategy in (Strategy.FULL_DUPLICATION, Strategy.NO_DUPLICATION)
-    }
-    base_cycles = {
-        name: runner.baseline_cycles(name, scale) for name in suite
-    }
-    framework_cycles: Dict[Tuple[str, Strategy], int] = {}
-    for name in suite:
-        for strategy in (Strategy.FULL_DUPLICATION, Strategy.NO_DUPLICATION):
-            result = runner.run(
-                RunSpec(
-                    name,
-                    strategy,
-                    ("call-edge", "field-access"),
-                    trigger="never",
-                    scale=scale,
-                )
-            )
-            framework_cycles[(name, strategy)] = result.cycles
-
+            for name in suite
+            for strategy in (Strategy.FULL_DUPLICATION, Strategy.NO_DUPLICATION)
+            for interval in (1, None, *intervals)
+        },
+    )
     rows: List[List] = []
     for strategy, paper_ref in (
         (Strategy.FULL_DUPLICATION, paper_data.PAPER_TABLE4_FULL),
@@ -380,22 +290,25 @@ def table4(
             total_ohs: List[float] = []
             samples: List[float] = []
             for name in suite:
-                call_acc, field_acc, cycles, nsamples = _accuracy_for(
-                    runner,
-                    name,
-                    strategy,
-                    interval,
-                    scale,
-                    perfects[(name, strategy)],
+                perfect = cells[name, strategy, 1].profiles
+                result = cells[name, strategy, interval]
+                call_accs.append(
+                    overlap_percentage(
+                        perfect["call-edge"], result.profiles["call-edge"]
+                    )
                 )
-                call_accs.append(call_acc)
-                field_accs.append(field_acc)
-                samples.append(nsamples)
-                base = base_cycles[name]
-                total_ohs.append(overhead_percent(base, cycles))
+                field_accs.append(
+                    overlap_percentage(
+                        perfect["field-access"],
+                        result.profiles["field-access"],
+                    )
+                )
+                samples.append(result.stats.samples_taken)
+                base = runner.baseline_cycles(name, scale)
+                total_ohs.append(overhead_percent(base, result.cycles))
                 sampled_ohs.append(
                     100.0
-                    * (cycles - framework_cycles[(name, strategy)])
+                    * (result.cycles - cells[name, strategy, None].cycles)
                     / base
                 )
             paper = paper_ref.get(interval, (None,) * 5)
@@ -443,16 +356,14 @@ def table4(
 # Table 5 — trigger mechanisms
 
 
-def _table5_timer_spec(
-    name: str, timer_period: int, scale: Optional[int]
-) -> RunSpec:
+def _table5_spec(name: str, scale: Optional[int], **trigger) -> RunSpec:
+    """A Table 5 cell: field-access via Full-Duplication."""
     return RunSpec(
         name,
         Strategy.FULL_DUPLICATION,
         ("field-access",),
-        trigger="timer",
-        timer_period=timer_period,
         scale=scale,
+        **trigger,
     )
 
 
@@ -465,14 +376,8 @@ def _table5_counter_specs(
         {interval, max(1, (interval * 9) // 10), (interval * 11) // 10}
     )
     return [
-        RunSpec(
-            name,
-            Strategy.FULL_DUPLICATION,
-            ("field-access",),
-            trigger="counter",
-            interval=candidate,
-            scale=scale,
-            phase=phase,
+        _table5_spec(
+            name, scale, trigger="counter", interval=candidate, phase=phase
         )
         for candidate in candidates
         for phase in (0, candidate // 3, (2 * candidate) // 3)
@@ -494,55 +399,50 @@ def table5(
 
     # Phase 1: perfect profiles + timer runs (periods derive from the
     # baselines, which run serially but hit the persistent cache).
-    timer_periods = {
-        name: max(400, runner.baseline_cycles(name, scale) // target_samples)
-        for name in suite
-    }
-    runner.prefetch(
+    phase1 = runner.run_many(
         [
-            RunSpec(
-                name,
-                Strategy.FULL_DUPLICATION,
-                ("field-access",),
-                trigger="counter",
-                interval=1,
-                scale=scale,
-            )
+            _table5_spec(name, scale, trigger="counter", interval=1)
             for name in suite
         ]
         + [
-            _table5_timer_spec(name, timer_periods[name], scale)
+            _table5_spec(
+                name,
+                scale,
+                trigger="timer",
+                timer_period=max(
+                    400, runner.baseline_cycles(name, scale) // target_samples
+                ),
+            )
             for name in suite
         ]
     )
+    perfects = dict(zip(suite, phase1[: len(suite)]))
+    timer_runs = dict(zip(suite, phase1[len(suite):]))
     # Phase 2: each workload's counter grid is matched to its timer
     # run's sample count, so it can only be enumerated now.
-    grid: List[RunSpec] = []
-    for name in suite:
-        timer_run = runner.run(
-            _table5_timer_spec(name, timer_periods[name], scale)
+    grids = {
+        name: _table5_counter_specs(
+            name,
+            max(
+                1,
+                timer_runs[name].stats.checks_executed
+                // max(1, timer_runs[name].stats.samples_taken),
+            ),
+            scale,
         )
-        interval = max(
-            1,
-            timer_run.stats.checks_executed
-            // max(1, timer_run.stats.samples_taken),
-        )
-        grid.extend(_table5_counter_specs(name, interval, scale))
-    runner.prefetch(grid)
+        for name in suite
+    }
+    grid_runs = iter(
+        runner.run_many([spec for grid in grids.values() for spec in grid])
+    )
 
     rows: List[List] = []
-    timer_accs: List[float] = []
-    counter_accs: List[float] = []
     for name in suite:
-        perfect = runner.perfect_profiles(name, ("field-access",), scale)
-        timer_run = runner.run(
-            _table5_timer_spec(name, timer_periods[name], scale)
-        )
-        timer_samples = max(1, timer_run.stats.samples_taken)
+        perfect = perfects[name].profiles["field-access"]
+        timer_run = timer_runs[name]
         timer_acc = overlap_percentage(
-            perfect["field-access"], timer_run.profiles["field-access"]
+            perfect, timer_run.profiles["field-access"]
         )
-        interval = max(1, timer_run.stats.checks_executed // timer_samples)
         # A single fixed stride on a small deterministic program can
         # lock onto a loop pattern (the paper's §4.4 deterministic-
         # correlation caveat) — much more likely here than on SPECjvm98
@@ -551,38 +451,29 @@ def table5(
         # match the timer's sample count, so we report the median over
         # a small grid of plain periodic counter configurations (three
         # nearby intervals x three phases).
-        counter_accs_here = []
-        counter_run = None
-        for counter_spec in _table5_counter_specs(name, interval, scale):
-            counter_run = runner.run(counter_spec)
-            counter_accs_here.append(
-                overlap_percentage(
-                    perfect["field-access"],
-                    counter_run.profiles["field-access"],
-                )
-            )
-        counter_accs_here.sort()
-        counter_acc = counter_accs_here[len(counter_accs_here) // 2]
-        timer_accs.append(timer_acc)
-        counter_accs.append(counter_acc)
+        counter_runs = [next(grid_runs) for _ in grids[name]]
+        counter_accs = sorted(
+            overlap_percentage(perfect, run.profiles["field-access"])
+            for run in counter_runs
+        )
         paper = paper_data.PAPER_TABLE5.get(name, (None, None))
         rows.append(
             [
                 name,
                 timer_acc,
                 paper[0],
-                counter_acc,
+                counter_accs[len(counter_accs) // 2],
                 paper[1],
-                timer_samples,
-                counter_run.stats.samples_taken,
+                max(1, timer_run.stats.samples_taken),
+                counter_runs[-1].stats.samples_taken,
             ]
         )
     rows.append(
         [
             "AVERAGE",
-            mean(timer_accs),
+            mean([row[1] for row in rows]),
             paper_data.PAPER_TABLE5_AVG[0],
-            mean(counter_accs),
+            mean([row[3] for row in rows]),
             paper_data.PAPER_TABLE5_AVG[1],
             None,
             None,
@@ -623,33 +514,22 @@ def figure7(
     our smaller run uses a proportionally smaller interval.
     """
     runner = runner or ExperimentRunner()
-    runner.prefetch(
-        [
-            RunSpec(
-                "javac",
-                Strategy.FULL_DUPLICATION,
-                ("call-edge",),
-                trigger="counter",
-                interval=i,
-                scale=scale,
-            )
-            for i in (1, interval)
-        ]
-    )
-    perfect = runner.perfect_profiles("javac", ("call-edge",), scale)[
-        "call-edge"
-    ]
-    sampled_run = runner.run(
-        RunSpec(
-            "javac",
-            Strategy.FULL_DUPLICATION,
-            ("call-edge",),
-            trigger="counter",
-            interval=interval,
-            scale=scale,
+    perfect, sampled = (
+        result.profiles["call-edge"]
+        for result in runner.run_many(
+            [
+                RunSpec(
+                    "javac",
+                    Strategy.FULL_DUPLICATION,
+                    ("call-edge",),
+                    trigger="counter",
+                    interval=i,
+                    scale=scale,
+                )
+                for i in (1, interval)
+            ]
         )
     )
-    sampled = sampled_run.profiles["call-edge"]
     overlap = overlap_percentage(perfect, sampled)
     rows: List[List] = []
     for key, perfect_pct, sampled_pct in overlap_series(
@@ -684,7 +564,7 @@ def figure8a(
     """Framework-only overhead with the yieldpoint optimization."""
     runner = runner or ExperimentRunner()
     suite = _suite(workloads)
-    runner.prefetch(
+    results = runner.run_many(
         [
             RunSpec(
                 name,
@@ -696,22 +576,16 @@ def figure8a(
             for name in suite
         ]
     )
-    rows: List[List] = []
-    overheads: List[float] = []
-    for name in suite:
-        pct = runner.overhead_pct(
-            RunSpec(
-                name,
-                Strategy.FULL_DUPLICATION,
-                ("none",),
-                yieldpoint_opt=True,
-                scale=scale,
-            )
-        )
-        overheads.append(pct)
-        rows.append([name, pct, paper_data.PAPER_FIGURE8A.get(name)])
+    rows: List[List] = [
+        [name, _overhead(runner, result), paper_data.PAPER_FIGURE8A.get(name)]
+        for name, result in zip(suite, results)
+    ]
     rows.append(
-        ["AVERAGE", mean(overheads), paper_data.PAPER_FIGURE8A_AVG]
+        [
+            "AVERAGE",
+            mean([row[1] for row in rows]),
+            paper_data.PAPER_FIGURE8A_AVG,
+        ]
     )
     return TableResult(
         title=(
@@ -734,12 +608,13 @@ def figure8b(
     runner = runner or ExperimentRunner()
     intervals = list(intervals or paper_data.PAPER_INTERVALS)
     suite = _suite(workloads)
-    runner.prefetch(
-        [
-            RunSpec(
+    cells = _run_matrix(
+        runner,
+        {
+            (interval, name): RunSpec(
                 name,
                 Strategy.FULL_DUPLICATION,
-                ("call-edge", "field-access"),
+                _CALL_FIELD,
                 trigger="counter",
                 interval=interval,
                 yieldpoint_opt=True,
@@ -747,27 +622,16 @@ def figure8b(
             )
             for interval in intervals
             for name in suite
-        ]
+        },
     )
-    rows: List[List] = []
-    for interval in intervals:
-        totals: List[float] = []
-        for name in suite:
-            pct = runner.overhead_pct(
-                RunSpec(
-                    name,
-                    Strategy.FULL_DUPLICATION,
-                    ("call-edge", "field-access"),
-                    trigger="counter",
-                    interval=interval,
-                    yieldpoint_opt=True,
-                    scale=scale,
-                )
-            )
-            totals.append(pct)
-        rows.append(
-            [interval, mean(totals), paper_data.PAPER_FIGURE8B.get(interval)]
-        )
+    rows: List[List] = [
+        [
+            interval,
+            mean([_overhead(runner, cells[interval, name]) for name in suite]),
+            paper_data.PAPER_FIGURE8B.get(interval),
+        ]
+        for interval in intervals
+    ]
     return TableResult(
         title=(
             "Figure 8(B): Jalapeño-specific total sampling overhead "

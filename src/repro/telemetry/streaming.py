@@ -320,9 +320,15 @@ class SpoolReader:
         manifest_path = self.path / MANIFEST_NAME
         if not manifest_path.exists():
             raise ReproError(f"{self.path} is not a spool (no {MANIFEST_NAME})")
-        self.manifest: Dict[str, Any] = json.loads(
-            manifest_path.read_text(encoding="utf-8")
-        )
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError:
+            manifest = None
+        if not isinstance(manifest, dict):
+            raise ReproError(
+                f"spool {self.path}: {MANIFEST_NAME} is not a JSON object"
+            )
+        self.manifest: Dict[str, Any] = manifest
         self.truncated = False
         self.epochs: List[Dict[str, Any]] = []
         # The directory scan, not the manifest index, is authoritative:

@@ -10,6 +10,8 @@ writes, and the CLI-facing maintenance surface ride along.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import HarnessError
@@ -33,6 +35,17 @@ def _run(program, cost_model=None):
         program, cost_model=cost_model or CostModel(), fuel=50_000_000,
         timer_period=100_000,
     ).run()
+
+
+#: Entries that parse as JSON but hold no baseline: not an object, or
+#: an object whose stats are not one.
+NOT_ENTRIES = {
+    "list": lambda entry: [],
+    "number": lambda entry: 42,
+    "string": lambda entry: "x",
+    "null-stats": lambda entry: {**entry, "stats": None},
+    "list-stats": lambda entry: {**entry, "stats": []},
+}
 
 
 class TestKeys:
@@ -110,6 +123,31 @@ class TestCacheStore:
         entry.write_text("{ not json")
         fresh = BaselineCache(tmp_path / "c")
         assert fresh.get(key) is None
+
+    @pytest.mark.parametrize("corrupt", sorted(NOT_ENTRIES))
+    def test_entry_holding_no_baseline_is_a_miss_and_an_error(
+        self, tmp_path, corrupt
+    ):
+        runner = ExperimentRunner(cache=str(tmp_path / "c"))
+        _, expected = runner.baseline("compress")
+        (entry,) = runner.baseline_cache.entries()
+        stored = json.loads(entry.read_text())
+        entry.write_text(json.dumps(NOT_ENTRIES[corrupt](stored)))
+        cache = BaselineCache(tmp_path / "c")
+        assert cache.get(entry.stem) is None
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 1, "stores": 0, "errors": 1,
+        }
+        assert cache.label(entry) is None
+        # A runner over the entry recomputes the baseline and overwrites
+        # the entry with it.
+        rerun = ExperimentRunner(cache=str(tmp_path / "c"))
+        _, result = rerun.baseline("compress")
+        assert result.stats.as_dict() == expected.stats.as_dict()
+        assert rerun.baseline_cache.stats.as_dict() == {
+            "hits": 0, "misses": 1, "stores": 1, "errors": 1,
+        }
+        assert json.loads(entry.read_text()) == stored
 
     def test_clear_empties_directory(self, tmp_path):
         cache = BaselineCache(tmp_path / "c")

@@ -85,8 +85,8 @@ def _manifest_json(result):
 
 @pytest.fixture(scope="module")
 def batch_results():
-    runner = ExperimentRunner(cache=False, telemetry=True)
-    return runner, runner.run_many(BATCH, jobs=1)
+    runner = ExperimentRunner(cache=False, telemetry=True, jobs=1)
+    return runner, runner.run_many(BATCH)
 
 
 def test_batch_covers_every_instrumentation_kind():
@@ -110,20 +110,18 @@ def test_earlier_profiles_survive_later_cells(monkeypatch):
     """Each cell's profiles, as they stood when the cell returned, are
     unchanged after the rest of its family has run."""
     at_return = []
-    original = ExperimentRunner._run
+    original = ExperimentRunner._compute
 
     def recording(self, spec, families):
-        result = original(self, spec, families)
+        result, record = original(self, spec, families)
         at_return.append(
             {name: dict(p.counts) for name, p in result.profiles.items()}
         )
-        return result
+        return result, record
 
-    monkeypatch.setattr(ExperimentRunner, "_run", recording)
-    results = ExperimentRunner(cache=False).run_many(BATCH, jobs=1)
-    # the first len(BATCH) returns are the computations, the rest the
-    # memo hits that assemble the returned list
-    assert at_return[: len(BATCH)] == [
+    monkeypatch.setattr(ExperimentRunner, "_compute", recording)
+    results = ExperimentRunner(cache=False, jobs=1).run_many(BATCH)
+    assert at_return == [
         {name: dict(p.counts) for name, p in result.profiles.items()}
         for result in results
     ]
@@ -148,8 +146,8 @@ def test_transform_runs_once_per_family(monkeypatch):
         framework_module.SamplingFramework, "transform", counting_transform
     )
     monkeypatch.setattr(framework_module, "transform_planned", counting_planned)
-    runner = ExperimentRunner(cache=False)
-    runner.run_many(BATCH, jobs=1)
+    runner = ExperimentRunner(cache=False, jobs=1)
+    runner.run_many(BATCH)
     assert calls == {"transform": len(FAMILIES) - 1, "planned": 1}
     assert (
         runner.metrics.counter("harness.transform.families").value
@@ -167,8 +165,8 @@ def test_transform_runs_once_per_family(monkeypatch):
 
 def test_pool_agrees_with_serial(batch_results):
     serial_runner, serial = batch_results
-    runner = ExperimentRunner(cache=False, telemetry=True)
-    pooled = runner.run_many(BATCH, jobs=2)
+    runner = ExperimentRunner(cache=False, telemetry=True, jobs=2)
+    pooled = runner.run_many(BATCH)
     assert [_fingerprint(r) for r in pooled] == [
         _fingerprint(r) for r in serial
     ]
@@ -200,8 +198,8 @@ def test_sample_iterations_is_part_of_the_family():
     assert counted.family_key() != spec.family_key()
     assert cell_seed(counted) != cell_seed(spec)
     assert cell_seed(spec) == 0x9D6AE25B  # the seed before the field
-    runner = ExperimentRunner(cache=False)
-    plain, looped = runner.run_many([spec, counted], jobs=1)
+    runner = ExperimentRunner(cache=False, jobs=1)
+    plain, looped = runner.run_many([spec, counted])
     assert looped.value == plain.value
     # a sample stays in duplicated code for 4 loop iterations, so the
     # run passes fewer checks than the uncounted transform

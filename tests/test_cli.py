@@ -227,6 +227,16 @@ class TestCache:
         assert out[2].endswith("  compress/scale=None")
         assert len(out) == 3
 
+    @pytest.mark.parametrize("payload", ["[]", '{"schema": 1}', "{ torn"])
+    def test_info_lists_an_unreadable_entry(self, cache_dir, payload,
+                                            capsys):
+        (entry,) = cache_dir.glob("*.json")
+        entry.write_text(payload)
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2].endswith("  (unreadable)")
+        assert len(out) == 3
+
     def test_clear_removes_the_stored_entry(self, cache_dir, capsys):
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert capsys.readouterr().out == (
@@ -317,6 +327,26 @@ class TestBadVerbFlags:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: ledger window must be >= 1, got {value}\n"
+
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        "[]",
+        '{"functions": 3}',
+        '{"reports": [{"plan": {}}]}',
+        '{"x": 1}',
+    ])
+    def test_plan_diff_needs_a_plan_artifact(self, content, tmp_path,
+                                             capsys):
+        artifact = tmp_path / "previous.json"
+        artifact.write_text(content)
+        argv = ["plan", "--workload", "compress", "--diff", str(artifact)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {artifact} is not a plan artifact: "
+        )
+        assert captured.out == ""
 
 
 class TestOutDirectories:

@@ -21,7 +21,6 @@ from repro.analysis import reconcile_stream
 from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
-from repro.harness.parallel import RunnerConfig
 from repro.profiles.overlap import overlap_report
 from repro.profiling import OverheadProfiler, merge_snapshots
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy, \
@@ -628,13 +627,6 @@ class TestHarnessCompaction:
 
         with pytest.raises(HarnessError):
             runner.compaction_accuracy(self._spec())
-
-    def test_runner_config_carries_compaction(self):
-        runner = ExperimentRunner(telemetry=True, compaction=True)
-        config = RunnerConfig.from_runner(runner)
-        assert config.compaction is True
-        rebuilt = config.build_runner()
-        assert rebuilt.compaction is True
 
     def test_compaction_matrix_subset(self):
         runner = ExperimentRunner(telemetry=True, compaction=True)

@@ -64,7 +64,9 @@ class TestRunner:
 
     def test_perfect_profiles_interval_one(self, runner):
         profiles = runner.perfect_profiles("db", ("call-edge",))
-        exhaustive = runner.exhaustive_profiles("db", ("call-edge",))
+        exhaustive = runner.run(
+            RunSpec("db", Strategy.EXHAUSTIVE, ("call-edge",))
+        ).profiles
         assert (
             profiles["call-edge"].counts
             == exhaustive["call-edge"].counts

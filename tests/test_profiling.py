@@ -675,9 +675,9 @@ class TestHarnessProfiling:
 
     def test_pool_profiles_and_ledger_reach_parent(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        runner = ExperimentRunner(profile=True, ledger=path)
+        runner = ExperimentRunner(profile=True, ledger=path, jobs=2)
         specs = [self._spec("jack"), self._spec("volano")]
-        outcomes = runner.run_many(specs, jobs=2)
+        outcomes = runner.run_many(specs)
         assert len(outcomes) == 2
         assert len(runner.profile_snapshots) == 2
         assert runner.profile_summary()["runs"] == 2

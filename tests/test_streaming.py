@@ -30,7 +30,6 @@ from repro.analysis import reconcile_stream
 from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
-from repro.harness.parallel import RunnerConfig
 from repro.profiling import OverheadProfiler, merge_snapshots
 from repro.profiling.cct import (
     CallingContextTree,
@@ -418,6 +417,33 @@ class TestCrashTolerance:
             verdict = reconcile_stream(stats, records, truncated=True)
             assert verdict.ok and verdict.truncated, verdict.violations
 
+    def test_torn_manifest_is_an_error_naming_the_spool(
+        self, tmp_path, capsys
+    ):
+        """A MANIFEST.json cut at seeded offsets (as the segments are),
+        at 0 bytes, or holding no object is a ReproError naming the
+        spool and its manifest, which ``repro watch`` reports as an
+        error, with or without ``--follow``."""
+        from repro.cli import main
+
+        spool = tmp_path / "spool"
+        recorder = StreamingRecorder(spool, epoch_events=32)
+        _run_with(recorder, "osr", Strategy.FULL_DUPLICATION, interval=20)
+        recorder.close()
+        manifest = (spool / MANIFEST_NAME).read_bytes().rstrip()
+        rng = random.Random(len(SpoolReader(spool).epochs))
+        offsets = [0] + sorted(rng.sample(range(1, len(manifest)), 3))
+        for payload in [manifest[:offset] for offset in offsets] + [b"[1,2]"]:
+            (spool / MANIFEST_NAME).write_bytes(payload)
+            with pytest.raises(ReproError) as caught:
+                SpoolReader(spool)
+            assert str(caught.value) == (
+                f"spool {spool}: {MANIFEST_NAME} is not a JSON object"
+            )
+            for follow in ([], ["--follow", "--poll", "0.01"]):
+                assert main(["watch", str(spool), *follow]) == 1
+                assert capsys.readouterr().err == f"error: {caught.value}\n"
+
     def test_reconcile_stream_truncated_waives_lower_bound(self):
         rec = TelemetryRecorder(suppress=True, context=True)
         result = _run_with(rec, "compress", Strategy.FULL_DUPLICATION)
@@ -457,17 +483,6 @@ class TestHarnessStreaming:
     def test_stream_implies_telemetry_and_compaction(self, tmp_path):
         runner = ExperimentRunner(stream=tmp_path / "live")
         assert runner.telemetry and runner.compaction
-
-    def test_runner_config_round_trips_stream(self, tmp_path):
-        runner = ExperimentRunner(stream=tmp_path / "live")
-        config = RunnerConfig.from_runner(runner)
-        assert config.stream == str(tmp_path / "live")
-        rebuilt = config.build_runner()
-        assert rebuilt.stream == runner.stream
-        # Workers derive the identical per-cell spool path.
-        assert rebuilt._spool_path(self.SPEC) == (
-            runner._spool_path(self.SPEC)
-        )
 
     def test_manifest_telemetry_reports_drop_accounting(self, tmp_path):
         runner = ExperimentRunner(stream=tmp_path / "live")

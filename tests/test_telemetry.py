@@ -376,14 +376,14 @@ class TestManifests:
         assert agg["sources"] == {"pool:1": 1, "serial": 1}
 
     def test_pool_manifests_reach_parent(self):
-        runner = ExperimentRunner(cache=False, telemetry=True)
+        runner = ExperimentRunner(cache=False, telemetry=True, jobs=2)
         specs = [
             RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
                     trigger="counter", interval=100),
             RunSpec("jess", Strategy.NO_DUPLICATION, ("call-edge",),
                     trigger="counter", interval=50),
         ]
-        runner.run_many(specs, jobs=2)
+        runner.run_many(specs)
         assert len(runner.manifests) == 2
         assert all(m.source.startswith("pool:") for m in runner.manifests)
         # worker metric snapshots folded into the parent registry
@@ -395,10 +395,10 @@ class TestManifests:
     def test_timing_report_counts_pool_cache_hits(self, tmp_path):
         spec = RunSpec("compress", Strategy.FULL_DUPLICATION,
                        ("call-edge",), trigger="counter", interval=100)
-        warm = ExperimentRunner(cache=str(tmp_path))
-        warm.run_many([spec], jobs=1)
-        runner = ExperimentRunner(cache=str(tmp_path))
-        runner.run_many([spec], jobs=2)
+        warm = ExperimentRunner(cache=str(tmp_path), jobs=1)
+        warm.run_many([spec])
+        runner = ExperimentRunner(cache=str(tmp_path), jobs=2)
+        runner.run_many([spec])
         report = runner.timing_report()
         assert "1 hit(s)" in report
 
