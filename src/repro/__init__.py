@@ -83,5 +83,5 @@ __all__ = ["__version__"] + lazy_exports(__name__, {
     "profiles.overlap": ("overlap_percentage",),
     "adaptive.controller": ("AdaptiveController",),
     "analysis.auditor": ("audit_program",),
-    "analysis.reconcile": ("reconcile", "reconcile_manifest"),
+    "analysis.reconcile": ("reconcile",),
 })

@@ -12,8 +12,8 @@ Entry points:
 * :func:`audit_program` / :func:`audit_function` — run the rule catalog.
 * :func:`build_certificate` — the static cost bound (usually taken from
   the :class:`AuditReport` returned by :func:`audit_program`).
-* :func:`reconcile` / :func:`reconcile_manifest` — validate dynamic
-  ExecStats against a certificate; :func:`property1_vs_baseline` —
+* :func:`reconcile` — validate dynamic ExecStats against a
+  certificate; :func:`property1_vs_baseline` —
   Property 1 of a run against its uninstrumented baseline run; :func:`reconcile_stream` — validate
   a (compacted) telemetry stream against the run's counters.
 * :func:`analyze_program` — interprocedural cost analysis (call graph,
@@ -50,8 +50,7 @@ __all__ = lazy_exports(__name__, {
     ),
     "reconcile": (
         "ReconcileVerdict", "measured_function_checks", "property1_vs_baseline",
-        "reconcile", "reconcile_manifest", "reconcile_plan",
-        "reconcile_profile", "reconcile_stream",
+        "reconcile", "reconcile_plan", "reconcile_profile", "reconcile_stream",
     ),
     "rules": (
         "ProgramRule", "Rule", "Suppressions", "all_program_rules",

@@ -47,7 +47,6 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.analysis.context import AuditContext, CheckKind
 from repro.bytecode.opcodes import Op
-from repro.errors import AnalysisError
 
 CERTIFICATE_VERSION = 1
 
@@ -135,16 +134,12 @@ class FunctionCostBound:
             "dup_residency": self.dup_residency,
             "loops": self.loops,
             "max_checks_per_iteration": self.max_checks_per_iteration,
-            # Derived coefficients ride along so archived manifests and
+            # Derived coefficients ride along so manifests and
             # ``repro plan --diff`` can attribute a miss to a function
             # without re-deriving the transform.
             "checks_per_entry": self.checks_per_entry,
             "checks_per_backedge": self.checks_per_backedge,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FunctionCostBound":
-        return cls(**{f: payload[f] for f in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -268,25 +263,6 @@ class CostCertificate:
             "max_dup_residency": self.max_dup_residency,
             "functions": [f.as_dict() for f in self.functions],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CostCertificate":
-        try:
-            return cls(
-                label=payload["label"],
-                strategy=payload["strategy"],
-                checks_per_entry=payload["checks_per_entry"],
-                checks_per_backedge=payload["checks_per_backedge"],
-                functions=[
-                    FunctionCostBound.from_dict(f)
-                    for f in payload.get("functions", [])
-                ],
-                version=payload.get("version", CERTIFICATE_VERSION),
-            )
-        except (KeyError, TypeError) as exc:
-            raise AnalysisError(
-                f"malformed cost certificate: {exc}"
-            ) from None
 
 
 # ---------------------------------------------------------------------------

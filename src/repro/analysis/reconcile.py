@@ -5,9 +5,8 @@ run, the observed :class:`~repro.vm.tracing.ExecStats` counters must
 satisfy the :class:`~repro.analysis.cost.CostCertificate` bound derived
 before the run. ``ExperimentRunner`` reconciles every audited cell and
 raises on violation, making Property 1 a hard error in every experiment
-rather than a test-suite assertion; manifests embed the verdict next to
-the stats so archived runs can be re-checked offline
-(:func:`reconcile_manifest`).
+rather than a test-suite assertion; the cell's manifest carries the
+verdict next to the stats.
 """
 
 from __future__ import annotations
@@ -277,21 +276,3 @@ def reconcile_plan(
         ),
         violations=violations,
     )
-
-
-def reconcile_manifest(manifest) -> ReconcileVerdict:
-    """Re-validate an archived :class:`RunManifest` offline.
-
-    Reads the certificate embedded under ``manifest.analysis`` and the
-    stats dict recorded at run time; raises :class:`AnalysisError` when
-    the manifest was produced without the auditor enabled.
-    """
-    payload = getattr(manifest, "analysis", None) or {}
-    cert_payload = payload.get("certificate")
-    if not cert_payload:
-        raise AnalysisError(
-            "manifest carries no cost certificate "
-            "(was it written by ExperimentRunner with telemetry on?)"
-        )
-    certificate = CostCertificate.from_dict(cert_payload)
-    return reconcile(certificate, manifest.stats)

@@ -178,7 +178,14 @@ def _print_self_profile(payload) -> DecompositionReport:
     return report
 
 
+def _check_top(args: argparse.Namespace) -> None:
+    """``--top`` slices rows, so a value below 1 would drop them."""
+    if args.top < 1:
+        raise ReproError(f"--top must be >= 1, got {args.top}")
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
+    _check_top(args)
     from repro.profiles import profile_summary
     from repro.profiling import (
         write_chrome_flame,
@@ -257,7 +264,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
     names = list(_TABLES) + ["figure7"] if args.which == "all" else [args.which]
     for name in names:
         if name == "figure7":
-            table, _overlap = tables.figure7(runner)
+            scale = {} if args.scale is None else {"scale": args.scale}
+            table, _overlap = tables.figure7(runner, **scale)
             print(table.render())
         else:
             print(getattr(tables, name)(runner, scale=args.scale).render())
@@ -565,6 +573,7 @@ def _render_watch(reader, top: int, component: Optional[str]) -> List[str]:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
+    _check_top(args)
     from repro.profiling.cct import top_contexts
     from repro.telemetry.streaming import SpoolReader, tail_epochs
 
@@ -793,6 +802,8 @@ def _previous_plans(path: str):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    if args.interval < 1:
+        raise ReproError(f"sample interval must be >= 1, got {args.interval}")
     from repro.analysis import plan_program
 
     kinds = _kinds(args)

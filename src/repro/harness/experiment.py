@@ -43,7 +43,6 @@ from repro.profiling.decomposition import decompose
 from repro.profiling.profiler import (
     DEFAULT_INTERVAL as DEFAULT_PROFILE_INTERVAL,
     OverheadProfiler,
-    merge_snapshots,
 )
 from repro.sampling.framework import SamplingFramework, Strategy, TransformReport
 from repro.sampling.triggers import make_trigger
@@ -279,11 +278,11 @@ class ExperimentRunner:
             appears in cache keys.
         telemetry: attach a :class:`TelemetryRecorder` to every
             configured run, keep its retained stream on
-            :attr:`RunResult.records`, and emit a :class:`RunManifest`
-            per computed cell (collected in :attr:`manifests`, including
-            cells computed by pool workers). Telemetry never changes a cell's
-            ExecStats/profiles — the differential test in
-            tests/test_telemetry.py pins this on every workload.
+            :attr:`RunResult.records`, and build a :class:`RunManifest`
+            per computed cell on :attr:`RunResult.manifest` (pool
+            workers ship it back with the result). Telemetry never
+            changes a cell's ExecStats/profiles — the differential test
+            in tests/test_telemetry.py pins this on every workload.
         telemetry_capacity: per-run flight-recorder ring size.
         compaction: (with telemetry on) build the recorder with
             ``suppress=True``: runs of identical events collapse into
@@ -329,11 +328,10 @@ class ExperimentRunner:
     audit rides on :attr:`RunResult.audit` and, with telemetry on, the
     audit and verdict ride in the manifest's ``analysis`` section.
 
-    The runner always keeps a :class:`MetricsRegistry` in
-    :attr:`metrics` — harness-level counters (baseline-cache traffic,
-    including deltas reported back by pool workers) are recorded there
-    even with telemetry off; VM metric snapshots are merged in per
-    manifest when telemetry is on.
+    The runner keeps a :class:`MetricsRegistry` in :attr:`metrics` for
+    its own ``harness.*`` counters (cells, families, baseline-cache
+    traffic including deltas reported back by pool workers), with
+    telemetry on or off. A cell's VM metrics stay in its manifest.
     """
 
     def __init__(
@@ -377,8 +375,6 @@ class ExperimentRunner:
             self.telemetry = True
             self.compaction = True
         self.metrics = MetricsRegistry()
-        self.manifests: List[RunManifest] = []
-        self.profile_snapshots: List[Dict[str, object]] = []
         self._baselines: Dict[Tuple[str, Optional[int]], Tuple[Program, VMResult]] = {}
         self._run_memo: Dict[RunSpec, RunResult] = {}
         self.cell_log: List[CellRecord] = []
@@ -465,15 +461,6 @@ class ExperimentRunner:
                 self.metrics.counter(
                     f"harness.baseline_cache.{name}"
                 ).inc(amount)
-
-    def profile_summary(self) -> Dict[str, object]:
-        """All absorbed cell profiles folded into one snapshot.
-
-        :func:`~repro.profiling.merge_snapshots` is associative and
-        commutative, so the summary is independent of cell order and of
-        how cells were split between the parent and pool workers.
-        """
-        return merge_snapshots(self.profile_snapshots)
 
     def _ledger_append(self, run_result: RunResult) -> None:
         """One perf-ledger record per computed cell (parent-side only:
@@ -836,10 +823,13 @@ class ExperimentRunner:
         return run_result, CellRecord(spec.describe(), cell_seconds, "serial")
 
     def _keep(self, result: RunResult, record: CellRecord) -> None:
-        """Keep one computed cell, wherever it ran: memoize it, absorb
-        its manifest and profile, count it, append it to the ledger and
-        log it."""
+        """Keep one computed cell, wherever it ran: memoize it (the
+        memoized result is the one store of its manifest and profile)
+        and set its manifest's source, count it, append it to the
+        ledger and log it."""
         self._run_memo[result.spec] = result
+        if result.manifest is not None:
+            result.manifest.source = record.source
         self.metrics.counter("harness.audit.cells").inc()
         if result.audit.findings:
             self.metrics.counter("harness.audit.findings").inc(
@@ -848,13 +838,8 @@ class ExperimentRunner:
         self.metrics.counter("harness.audit.reconciled").inc()
         if result.profile is not None:
             self.metrics.counter("harness.profile.cells").inc()
-            self.profile_snapshots.append(result.profile["snapshot"])
         if result.spool is not None:
             self.metrics.counter("harness.stream.cells").inc()
-        if result.manifest is not None:
-            result.manifest.source = record.source
-            self.manifests.append(result.manifest)
-            self.metrics.merge_snapshot(result.manifest.metrics)
         self._ledger_append(result)
         self.cell_log.append(record)
 
@@ -1017,8 +1002,8 @@ class ExperimentRunner:
           ExecStats sample counters (:func:`reconcile_stream`).
 
         The report also lands in the cell manifest's
-        ``telemetry["compaction_accuracy"]`` section, so archived runs
-        carry their own accuracy evidence.
+        ``telemetry["compaction_accuracy"]`` section, so the cell
+        carries its own accuracy evidence.
         """
         if not (self.telemetry and self.compaction):
             raise HarnessError(

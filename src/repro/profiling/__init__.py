@@ -6,7 +6,8 @@ interpreters themselves:
 * :mod:`repro.profiling.profiler` — :class:`OverheadProfiler`, sampling
   at the engines' observer boundaries and attributing wall time to cost
   components (dispatch / compiled / check / dup / trampoline / payload / poll /
-  runtime), plus heat maps and calling-context stack samples;
+  runtime), plus heat maps and calling-context stack samples, and the
+  profile snapshot's merge and diff;
 * :mod:`repro.profiling.decomposition` — per-cell overhead-decomposition
   reports whose component sum reconciles against measured wall time;
 * :mod:`repro.profiling.flamegraph` — collapsed-stack, speedscope, and
@@ -14,8 +15,7 @@ interpreters themselves:
 * :mod:`repro.profiling.ledger` — the continuous perf-regression
   ledger (``BENCH_history.jsonl``) and its rolling-baseline comparator;
 * :mod:`repro.profiling.cct` — the first-class calling-context tree:
-  dense context interning, per-context cost attribution, and the
-  associative snapshot-table merges the streaming spool relies on.
+  dense context interning and per-context cost attribution.
 """
 
 from repro._lazy import lazy_exports
@@ -23,8 +23,7 @@ from repro._lazy import lazy_exports
 __all__ = lazy_exports(__name__, {
     "cct": (
         "PATH_SEPARATOR", "CallingContextTree", "ContextTracker",
-        "cct_from_events", "context_totals", "diff_cct_table", "join_path",
-        "merge_cct_tables", "split_path", "top_contexts",
+        "cct_from_events", "join_path", "split_path", "top_contexts",
     ),
     "decomposition": ("DEFAULT_TOLERANCE", "DecompositionReport", "decompose"),
     "flamegraph": (
@@ -39,6 +38,7 @@ __all__ = lazy_exports(__name__, {
     # The runner's reading of its ``ledger=`` argument.
     ".harness.experiment": ("resolve_ledger",),
     "profiler": (
-        "COMPONENTS", "DEFAULT_INTERVAL", "OverheadProfiler", "merge_snapshots",
+        "COMPONENTS", "DEFAULT_INTERVAL", "OverheadProfiler", "diff_snapshot",
+        "merge_snapshots",
     ),
 })

@@ -16,9 +16,8 @@ pieces:
 
 * :class:`CallingContextTree` — per-context accumulation of profiler
   samples split by overhead component (check / dispatch / payload /
-  ...), with an associatively-mergeable snapshot form so CCTs compose
-  across epochs and pool workers exactly like every other profile
-  surface in the repo.
+  ...), with a snapshot table that merges like every other profile
+  table.
 
 Snapshot form (the ``"cct"`` subdict of a profiler snapshot and the
 profile sections of streamed epochs)::
@@ -27,9 +26,10 @@ profile sections of streamed epochs)::
 
 Keys are ``;``-joined root→leaf paths (the collapsed-stack convention
 shared with ``profiler.snapshot()["stacks"]``); values map component
-name to a ``[count, wall]`` pair. Both fields are additive, so
-:func:`merge_cct_tables` is associative and commutative and
-:func:`diff_cct_table` composes through it.
+name to a ``[count, wall]`` pair. Both fields are additive, so the
+table merges and diffs through the profile snapshot's own
+:func:`~repro.profiling.profiler.merge_snapshots` and
+:func:`~repro.profiling.profiler.diff_snapshot`.
 """
 
 from __future__ import annotations
@@ -146,78 +146,13 @@ class CallingContextTree:
         return len(self._cells)
 
     def snapshot(self) -> Dict[str, Dict[str, List[float]]]:
-        """The associative snapshot table (see module docstring)."""
+        """The snapshot table (see module docstring)."""
         return {
             join_path(self.tracker.path_of(ctx)): {
                 component: list(slot) for component, slot in cell.items()
             }
             for ctx, cell in self._cells.items()
         }
-
-
-# ---------------------------------------------------------------------------
-# snapshot-table algebra
-
-
-def merge_cct_tables(
-    base: Mapping[str, Mapping[str, Sequence[float]]],
-    extra: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Dict[str, List[float]]]:
-    """Fold two CCT snapshot tables additively (associative and
-    commutative — both fields of every cell are sums)."""
-    merged: Dict[str, Dict[str, List[float]]] = {
-        key: {comp: list(slot) for comp, slot in cell.items()}
-        for key, cell in base.items()
-    }
-    for key, cell in extra.items():
-        target = merged.setdefault(key, {})
-        for component, slot in cell.items():
-            dest = target.get(component)
-            if dest is None:
-                target[component] = list(slot)
-            else:
-                dest[0] += slot[0]
-                dest[1] += slot[1]
-    return merged
-
-
-def diff_cct_table(
-    base: Mapping[str, Mapping[str, Sequence[float]]],
-    current: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Dict[str, List[float]]]:
-    """The increment such that ``merge_cct_tables(base, diff) ==
-    current`` for append-only tables (cells only ever grow)."""
-    delta: Dict[str, Dict[str, List[float]]] = {}
-    for key, cell in current.items():
-        base_cell = base.get(key, {})
-        changed: Dict[str, List[float]] = {}
-        for component, slot in cell.items():
-            prev = base_cell.get(component)
-            if prev is None:
-                changed[component] = list(slot)
-            else:
-                dn = slot[0] - prev[0]
-                dw = slot[1] - prev[1]
-                if dn or dw:
-                    changed[component] = [dn, dw]
-        if changed:
-            delta[key] = changed
-    return delta
-
-
-def context_totals(
-    table: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Tuple[float, float]]:
-    """Per-context ``(samples, wall)`` totals across components."""
-    totals: Dict[str, Tuple[float, float]] = {}
-    for key, cell in table.items():
-        n = 0.0
-        wall = 0.0
-        for slot in cell.values():
-            n += slot[0]
-            wall += slot[1]
-        totals[key] = (n, wall)
-    return totals
 
 
 def top_contexts(

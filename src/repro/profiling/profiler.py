@@ -40,10 +40,13 @@ cell by the experiment harness). With the profiler detached or disabled
 the fast engine compiles **zero** profiling branches — the disabled
 path is gated at <=2% next to the null-recorder gate in CI.
 
-Snapshots are plain JSON-able dicts whose merge
-(:func:`merge_snapshots`) is associative and commutative, so pool
-workers' profiles fold together in any grouping — the same contract
-metrics snapshots honour (docs/PROFILING.md).
+Snapshots are plain JSON-able dicts, and this module owns their one
+merge and one diff, the calling-context (``cct``) table included.
+:func:`merge_snapshots` is associative and commutative, so cell
+profiles fold together in any grouping — the same contract metrics
+snapshots honour (docs/PROFILING.md) — and :func:`diff_snapshot`
+renders the change between two snapshots as another snapshot, which
+the streaming spool stores between keyframes.
 """
 
 from __future__ import annotations
@@ -279,13 +282,20 @@ class OverheadProfiler:
         return snap
 
 
+#: Snapshot fields that describe the profiler rather than count, so
+#: the merge and the diff pass them through instead of adding them.
+_HEADER = ("version", "interval")
+
+
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold snapshots into one; associative and commutative.
 
-    Counts and wall times add; ``interval`` survives only if every input
-    agrees (mixed-interval merges keep ``None`` — the merged bound is no
-    longer a single formula). An empty iterable yields an empty-profile
-    snapshot.
+    One leafwise rule covers every table, ``cct`` included: numbers
+    add, ``[count, wall]`` pairs add element-wise, dicts recurse, and a
+    key found on one side only is copied. ``interval`` survives only if
+    every input agrees (mixed-interval merges keep ``None`` — the
+    merged bound is no longer a single formula). An empty iterable
+    yields an empty-profile snapshot.
     """
     merged: Dict[str, Any] = {
         "version": SNAPSHOT_VERSION,
@@ -300,40 +310,70 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "op_heat": {},
         "stacks": {},
     }
-    first = True
+    intervals = set()
     for snap in snapshots:
-        if first:
-            merged["interval"] = snap.get("interval")
-            first = False
-        elif merged["interval"] != snap.get("interval"):
-            merged["interval"] = None
-        merged["runs"] += snap.get("runs", 0)
-        merged["boundaries"] += snap.get("boundaries", 0)
-        merged["samples"] += snap.get("samples", 0)
-        merged["elapsed_seconds"] += snap.get("elapsed_seconds", 0.0)
-        for comp, value in snap.get("wall_seconds", {}).items():
-            merged["wall_seconds"][comp] = (
-                merged["wall_seconds"].get(comp, 0.0) + value
-            )
-        for comp, value in snap.get("sample_counts", {}).items():
-            merged["sample_counts"][comp] = (
-                merged["sample_counts"].get(comp, 0) + value
-            )
-        for table in ("heat", "op_heat"):
-            ours = merged[table]
-            for key, n in snap.get(table, {}).items():
-                ours[key] = ours.get(key, 0) + n
-        ours = merged["stacks"]
-        for key, (n, wall) in snap.get("stacks", {}).items():
-            cell = ours.get(key)
-            if cell is None:
-                ours[key] = [n, wall]
-            else:
-                cell[0] += n
-                cell[1] += wall
-        cct = snap.get("cct")
-        if cct is not None:
-            from repro.profiling.cct import merge_cct_tables
-
-            merged["cct"] = merge_cct_tables(merged.get("cct", {}), cct)
+        intervals.add(snap.get("interval"))
+        _add(merged, _body(snap))
+    if len(intervals) == 1:
+        merged["interval"] = intervals.pop()
     return merged
+
+
+def diff_snapshot(
+    base: Dict[str, Any], current: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The snapshot that, merged onto *base*, gives *current*.
+
+    ``merge_snapshots([base, diff_snapshot(base, current)]) == current``
+    whenever *current* grew from *base*. Leafwise like the merge: only
+    the leaves that changed are kept, as differences, and keys *base*
+    lacks are copied. ``version`` and ``interval`` are *current*'s, so
+    the merge keeps the interval.
+    """
+    delta = {key: current.get(key) for key in _HEADER}
+    delta.update(_changes(base, _body(current)))
+    return delta
+
+
+def _body(snap: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: value for key, value in snap.items() if key not in _HEADER}
+
+
+def _copy(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(value)
+    return value
+
+
+def _add(ours: Dict[str, Any], theirs: Dict[str, Any]) -> None:
+    for key, value in theirs.items():
+        if key not in ours:
+            ours[key] = _copy(value)
+        elif isinstance(value, dict):
+            _add(ours[key], value)
+        elif isinstance(value, list):
+            ours[key] = [a + b for a, b in zip(ours[key], value)]
+        else:
+            ours[key] += value
+
+
+def _changes(base: Dict[str, Any], current: Dict[str, Any]) -> Dict[str, Any]:
+    delta: Dict[str, Any] = {}
+    for key, value in current.items():
+        if key not in base:
+            delta[key] = _copy(value)
+            continue
+        prior = base[key]
+        if isinstance(value, dict):
+            changed = _changes(prior, value)
+            if changed:
+                delta[key] = changed
+        elif value != prior:
+            delta[key] = (
+                [a - b for a, b in zip(value, prior)]
+                if isinstance(value, list)
+                else value - prior
+            )
+    return delta

@@ -7,8 +7,9 @@ The observability subsystem for the reproduction (docs/OBSERVABILITY.md):
 * :mod:`repro.telemetry.recorder` — the hook surface the VM engines
   call (:class:`TelemetryRecorder`, optionally suppressing runs of
   identical events, and :class:`NullRecorder` for overhead gating);
-* :mod:`repro.telemetry.metrics` — counters / gauges / histograms;
-* :mod:`repro.telemetry.manifest` — per-run provenance JSON;
+* :mod:`repro.telemetry.metrics` — counters / gauges / histograms, and
+  the metrics snapshot's merge and diff;
+* :mod:`repro.telemetry.manifest` — the per-cell provenance record;
 * :mod:`repro.telemetry.compaction` — the record form (events and
   suppressed runs), the suppression windows, and the verified
   keyframe/delta snapshot stream;
@@ -23,8 +24,7 @@ from repro._lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
     "compaction": (
-        "DeltaSnapshotStream", "StreamCompactor", "SuppressedRun",
-        "diff_metrics_snapshot", "diff_profile_snapshot", "inflate",
+        "DeltaSnapshotStream", "StreamCompactor", "SuppressedRun", "inflate",
         "record_weight", "sample_site_profile", "total_event_weight",
     ),
     "events": (
@@ -36,12 +36,10 @@ __all__ = lazy_exports(__name__, {
         "HARNESS_TID", "compact_jsonl_to_records", "events_to_chrome_trace",
         "events_to_jsonl", "records_to_compact_jsonl",
     ),
-    "manifest": (
-        "RunManifest", "aggregate_manifests", "load_manifest", "spec_as_dict",
-    ),
+    "manifest": ("RunManifest", "spec_as_dict"),
     "metrics": (
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        "metric_key", "quantile_from_buckets",
+        "diff_metrics_snapshot", "metric_key", "quantile_from_buckets",
     ),
     "recorder": ("NullRecorder", "TelemetryRecorder", "recompile_decision"),
     "ring": ("EventRing",),

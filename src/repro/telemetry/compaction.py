@@ -28,15 +28,16 @@ The module has three layers:
   and the packed file codec (``repro.telemetry.exporters``) both use
   it, and plain JSONL and Chrome traces are views over the inflated
   events.
-* **delta-encoded snapshots** — :func:`diff_metrics_snapshot` renders
-  the change between two ``MetricsRegistry`` snapshots *as another
-  valid snapshot* (counter increments, histogram bucket deltas, changed
-  gauges), so keyframe + deltas reconstruct exactly through the
-  existing associative merge — the same merge pool workers already
-  use. :func:`diff_profile_snapshot` does the same for
-  ``OverheadProfiler`` snapshots. :class:`DeltaSnapshotStream` encodes
-  either kind as keyframes and verified deltas, and :func:`replay`
-  rebuilds the sequence.
+* **delta-encoded snapshots** — :class:`DeltaSnapshotStream` encodes
+  a sequence of snapshots as keyframes and verified deltas, and
+  :func:`replay` rebuilds it. Each snapshot format brings its own diff
+  and merge from the module that produces it:
+  :func:`repro.telemetry.metrics.diff_metrics_snapshot` with
+  :func:`~repro.telemetry.metrics.merge_metric_snapshots`, and
+  :func:`repro.profiling.profiler.diff_snapshot` with
+  :func:`~repro.profiling.profiler.merge_snapshots`. A diff is itself
+  a valid snapshot, so keyframe + deltas reconstruct exactly through
+  the format's own merge.
 
 Accuracy is quantified with the paper's own §4.4 metric:
 :func:`sample_site_profile` projects a (possibly suppressed) stream
@@ -385,117 +386,6 @@ def sample_site_profile(
         elif item.kind == SAMPLE_FIRED:
             record((item.function, item.pc))
     return profile
-
-
-# -- delta-encoded metrics snapshots -----------------------------------------
-
-
-def diff_metrics_snapshot(
-    base: Dict[str, Dict[str, Any]],
-    current: Dict[str, Dict[str, Any]],
-) -> Dict[str, Dict[str, Any]]:
-    """The change from *base* to *current*, as a valid snapshot.
-
-    Counters carry increments, histograms carry bucket/count/sum deltas
-    (min/max carry the current value — they only ever tighten, so the
-    merge's min/max pick reconstructs them), gauges appear only when
-    changed. Because the delta is itself a snapshot,
-    ``MetricsRegistry.merge_snapshot`` composes keyframe + deltas back
-    into the exact current state, and worker deltas merge associatively
-    exactly like full snapshots.
-
-    Requires metrics to have evolved monotonically from *base* (true
-    for counters/histograms by construction); raises otherwise.
-    """
-    delta: Dict[str, Dict[str, Any]] = {}
-    for key, cur in current.items():
-        prev = base.get(key)
-        if prev == cur:
-            continue
-        mtype = cur.get("type")
-        if prev is None or prev.get("type") != mtype:
-            delta[key] = json.loads(json.dumps(cur))
-            continue
-        if mtype == "counter":
-            step = int(cur["value"]) - int(prev["value"])
-            if step < 0:
-                raise ReproError(
-                    f"metric {key!r}: counter went backwards "
-                    f"({prev['value']} -> {cur['value']})"
-                )
-            delta[key] = {"type": "counter", "value": step}
-        elif mtype == "gauge":
-            delta[key] = {"type": "gauge", "value": cur["value"]}
-        elif mtype == "histogram":
-            if list(prev["bounds"]) != list(cur["bounds"]):
-                delta[key] = json.loads(json.dumps(cur))
-                continue
-            delta[key] = {
-                "type": "histogram",
-                "count": int(cur["count"]) - int(prev["count"]),
-                "sum": cur["sum"] - prev["sum"],
-                "min": cur["min"],
-                "max": cur["max"],
-                "bounds": list(cur["bounds"]),
-                "buckets": [
-                    int(c) - int(p)
-                    for c, p in zip(cur["buckets"], prev["buckets"])
-                ],
-            }
-        else:
-            delta[key] = json.loads(json.dumps(cur))
-    return delta
-
-
-# -- delta-encoded profiler snapshots ----------------------------------------
-
-#: Scalar fields of a profiler snapshot that diff additively.
-_PROFILE_SCALARS = ("runs", "boundaries", "samples", "elapsed_seconds")
-
-
-def diff_profile_snapshot(
-    base: Dict[str, Any], current: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The change between two ``OverheadProfiler`` snapshots, as a valid
-    snapshot: ``merge_snapshots([base, delta]) == current`` (module
-    :mod:`repro.profiling.profiler` owns the merge). Only changed
-    heat/op_heat/stack keys are carried."""
-    delta: Dict[str, Any] = {
-        "version": current.get("version"),
-        "interval": current.get("interval"),
-    }
-    for field in _PROFILE_SCALARS:
-        delta[field] = current.get(field, 0) - base.get(field, 0)
-    for table in ("wall_seconds", "sample_counts"):
-        cur = current.get(table, {})
-        prev = base.get(table, {})
-        delta[table] = {
-            comp: value - prev.get(comp, 0)
-            for comp, value in cur.items()
-            if value != prev.get(comp, 0)
-        }
-    for table in ("heat", "op_heat"):
-        cur = current.get(table, {})
-        prev = base.get(table, {})
-        delta[table] = {
-            key: n - prev.get(key, 0)
-            for key, n in cur.items()
-            if n != prev.get(key, 0)
-        }
-    cur_stacks = current.get("stacks", {})
-    prev_stacks = base.get("stacks", {})
-    delta["stacks"] = {
-        key: [n - prior[0], wall - prior[1]]
-        for key, (n, wall) in cur_stacks.items()
-        for prior in (prev_stacks.get(key, (0, 0.0)),)
-        if [n, wall] != list(prior)
-    }
-    cct = current.get("cct")
-    if cct is not None:
-        from repro.profiling.cct import diff_cct_table
-
-        delta["cct"] = diff_cct_table(base.get("cct", {}), cct)
-    return delta
 
 
 # -- keyframe + delta streams ------------------------------------------------

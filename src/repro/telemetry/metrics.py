@@ -8,8 +8,11 @@ everything into plain JSON-able dicts for manifests and exporters.
 Everything here is deterministic-friendly: instruments hold exact
 integer/float aggregates (no reservoir sampling, no wall-clock decay),
 so two runs of the same deterministic simulation produce equal
-snapshots, and snapshots from parallel workers merge associatively via
-:meth:`MetricsRegistry.merge_snapshot`.
+snapshots. This module owns the snapshot format's one merge
+(:meth:`MetricsRegistry.merge_snapshot`, folded over a list by
+:func:`merge_metric_snapshots`) and its one diff
+(:func:`diff_metrics_snapshot`, which the streaming spool stores
+between keyframes).
 
 Naming convention: dotted component paths (``vm.samples``,
 ``harness.baseline_cache.hits``); labels render Prometheus-style:
@@ -18,7 +21,8 @@ Naming convention: dotted component paths (``vm.samples``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+import json
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 
@@ -284,7 +288,7 @@ class MetricsRegistry:
     # -- aggregation -------------------------------------------------------
 
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, object]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker's manifest)
+        """Fold a :meth:`snapshot` (or a :func:`diff_metrics_snapshot`)
         into this registry: counters add, gauges last-write-win,
         histograms merge bucket-for-bucket (bounds must agree)."""
         for key, payload in snapshot.items():
@@ -319,9 +323,6 @@ class MetricsRegistry:
                     f"metric {key!r}: unknown snapshot type {mtype!r}"
                 )
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_snapshot(other.snapshot())
-
 
 def merge_metric_snapshots(
     snapshots: Iterable[Dict[str, Dict[str, object]]],
@@ -333,3 +334,60 @@ def merge_metric_snapshots(
     for snapshot in snapshots:
         registry.merge_snapshot(snapshot)
     return registry.snapshot()
+
+
+def diff_metrics_snapshot(
+    base: Dict[str, Dict[str, Any]],
+    current: Dict[str, Dict[str, Any]],
+) -> Dict[str, Dict[str, Any]]:
+    """The change from *base* to *current*, as a valid snapshot.
+
+    Counters carry increments, histograms carry bucket/count/sum deltas
+    (min/max carry the current value — they only ever tighten, so the
+    merge's min/max pick reconstructs them), gauges appear only when
+    changed. Because the delta is itself a snapshot,
+    ``MetricsRegistry.merge_snapshot`` composes keyframe + deltas back
+    into the exact current state, and worker deltas merge associatively
+    exactly like full snapshots.
+
+    Requires metrics to have evolved monotonically from *base* (true
+    for counters/histograms by construction); raises otherwise.
+    """
+    delta: Dict[str, Dict[str, Any]] = {}
+    for key, cur in current.items():
+        prev = base.get(key)
+        if prev == cur:
+            continue
+        mtype = cur.get("type")
+        if prev is None or prev.get("type") != mtype:
+            delta[key] = json.loads(json.dumps(cur))
+            continue
+        if mtype == "counter":
+            step = int(cur["value"]) - int(prev["value"])
+            if step < 0:
+                raise ReproError(
+                    f"metric {key!r}: counter went backwards "
+                    f"({prev['value']} -> {cur['value']})"
+                )
+            delta[key] = {"type": "counter", "value": step}
+        elif mtype == "gauge":
+            delta[key] = {"type": "gauge", "value": cur["value"]}
+        elif mtype == "histogram":
+            if list(prev["bounds"]) != list(cur["bounds"]):
+                delta[key] = json.loads(json.dumps(cur))
+                continue
+            delta[key] = {
+                "type": "histogram",
+                "count": int(cur["count"]) - int(prev["count"]),
+                "sum": cur["sum"] - prev["sum"],
+                "min": cur["min"],
+                "max": cur["max"],
+                "bounds": list(cur["bounds"]),
+                "buckets": [
+                    int(c) - int(p)
+                    for c, p in zip(cur["buckets"], prev["buckets"])
+                ],
+            }
+        else:
+            delta[key] = json.loads(json.dumps(cur))
+    return delta

@@ -12,10 +12,10 @@ index — containing:
   (captured *before* ring admission, so the spool never loses events to
   ring eviction — suppression windows stay open across epochs, keeping
   the record stream identical to a non-streaming recorder's);
-* a delta-encoded metrics snapshot (keyframe + deltas, composing
-  through ``MetricsRegistry.merge_snapshot``);
+* a delta-encoded metrics snapshot (keyframe + deltas, diffed and
+  merged by :mod:`repro.telemetry.metrics`);
 * a delta-encoded profiler snapshot when a profiler is attached
-  (composing through :func:`repro.profiling.merge_snapshots`);
+  (diffed and merged by :mod:`repro.profiling.profiler`);
 * newly interned calling-context table entries.
 
 Memory is bounded: each epoch's buffers are drained on flush, and the
@@ -48,19 +48,20 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.profiling.cct import cct_from_events
-from repro.profiling.profiler import merge_snapshots
+from repro.profiling.profiler import diff_snapshot, merge_snapshots
 from repro.telemetry.compaction import (
     DeltaSnapshotStream,
     Record,
-    diff_metrics_snapshot,
-    diff_profile_snapshot,
     inflate,
     record_as_dict,
     record_from_dict,
     replay,
 )
 from repro.telemetry.events import Event
-from repro.telemetry.metrics import merge_metric_snapshots
+from repro.telemetry.metrics import (
+    diff_metrics_snapshot,
+    merge_metric_snapshots,
+)
 from repro.telemetry.recorder import TelemetryRecorder
 
 #: Spool format version (bump on incompatible layout changes).
@@ -229,7 +230,7 @@ class StreamingRecorder(TelemetryRecorder):
             diff_metrics_snapshot, merge_metric_snapshots
         )
         self._profile_stream = DeltaSnapshotStream(
-            diff_profile_snapshot, merge_snapshots
+            diff_snapshot, merge_snapshots
         )
 
     # -- hot path ------------------------------------------------------------

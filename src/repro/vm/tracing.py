@@ -13,9 +13,9 @@ from repro.bytecode.opcodes import Op
 
 
 #: Every scalar counter, in declaration order. The single source of
-#: truth for :meth:`ExecStats.as_dict` / :meth:`ExecStats.merge` /
-#: :meth:`ExecStats.from_dict` — add a field here (and to ``__slots__``
-#: and ``__init__``) and every serializer/aggregator picks it up.
+#: truth for :meth:`ExecStats.as_dict` / :meth:`ExecStats.from_dict` —
+#: add a field here (and to ``__slots__`` and ``__init__``) and both
+#: pick it up.
 _SCALAR_FIELDS = (
     "instructions",
     "cycles",
@@ -145,7 +145,7 @@ class ExecStats:
     @classmethod
     def from_dict(cls, payload: Dict[str, int]) -> "ExecStats":
         """Rebuild stats from :meth:`as_dict` output (used by the
-        persistent baseline cache and the parallel harness)."""
+        persistent baseline cache)."""
         stats = cls()
         for name in _SCALAR_FIELDS:
             # Missing keys default to 0 so payloads serialized before a
@@ -156,17 +156,6 @@ class ExecStats:
                 raise TypeError(f"stat {name!r} must be an int")
             setattr(stats, name, value)
         return stats
-
-    def merge(self, other: "ExecStats") -> "ExecStats":
-        """Accumulate *other* into self (all scalar counters add;
-        opcode counts add per opcode when both sides recorded them).
-        Returns self, so worker results fold with ``reduce``."""
-        for name in _SCALAR_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        if self.opcode_counts is not None and other.opcode_counts is not None:
-            for op, n in other.opcode_counts.items():
-                self.opcode_counts[op] = self.opcode_counts.get(op, 0) + n
-        return self
 
     def __repr__(self) -> str:
         return (

@@ -6,11 +6,10 @@ Four layers, mirroring the package:
 * invariant certifier — every workload x strategy certifies clean, and
   deliberately broken transforms are rejected with the *specific* rule
   id that names the broken clause;
-* cost certificates — derivation, serialization round-trips, and the
-  bound formula evaluated against doctored counters;
-* static<->dynamic reconciliation — ok and violation paths, offline
-  re-validation of manifests, and the harness wiring that turns a
-  violation into a hard error.
+* cost certificates — derivation and the bound formula evaluated
+  against doctored counters;
+* static<->dynamic reconciliation — ok and violation paths, and the
+  harness wiring that turns a violation into a hard error.
 """
 
 import json
@@ -19,7 +18,6 @@ import pytest
 
 from repro.analysis import (
     AuditReport,
-    CostCertificate,
     Finding,
     ReconcileVerdict,
     Severity,
@@ -30,7 +28,6 @@ from repro.analysis import (
     build_certificate,
     get_rule,
     reconcile,
-    reconcile_manifest,
 )
 from repro.analysis.context import (
     CHECKS_ONLY_BACKEDGE,
@@ -48,7 +45,6 @@ from repro.frontend import compile_baseline
 from repro.harness import ExperimentRunner, RunSpec
 from repro.instrument import CallEdgeInstrumentation
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy
-from repro.telemetry import RunManifest, load_manifest
 from repro.vm import run_program
 from repro.workloads import get_workload, workload_names
 
@@ -553,19 +549,6 @@ class TestCostCertificate:
             "no GUARDED_INSTR sites" in p for p in cert.violations(bad2)
         )
 
-    def test_certificate_roundtrip(self, baseline):
-        transformed = transform(baseline, Strategy.PARTIAL_DUPLICATION)
-        cert = audit_program(
-            transformed, strategy=PARTIAL_DUPLICATION
-        ).certificate
-        again = CostCertificate.from_dict(cert.as_dict())
-        assert again == cert
-        assert again.as_dict() == cert.as_dict()
-
-    def test_malformed_certificate_is_a_clean_error(self):
-        with pytest.raises(AnalysisError, match="malformed"):
-            CostCertificate.from_dict({"label": "x"})
-
     def test_dynamic_bound_holds_on_a_real_run(self, baseline):
         transformed = transform(baseline, Strategy.FULL_DUPLICATION)
         cert = audit_program(
@@ -626,33 +609,6 @@ class TestReconcile:
         again = ReconcileVerdict.from_dict(verdict.as_dict())
         assert again == verdict
 
-    def test_reconcile_manifest_offline(self, cert):
-        manifest = RunManifest(
-            spec={"workload": "toy", "strategy": "full-duplication",
-                  "trigger": "counter", "interval": 5},
-            engine="fast",
-            trigger={},
-            seed=None,
-            cycles=1,
-            value=0,
-            wall_seconds=0.0,
-            stats={"checks_executed": 1, "calls": 3,
-                   "backward_jumps": 2, "checks_taken": 0},
-            analysis={"certificate": cert.as_dict()},
-        )
-        verdict = reconcile_manifest(manifest)
-        assert verdict.ok
-        manifest.stats["checks_executed"] = 10**9
-        assert not reconcile_manifest(manifest).ok
-
-    def test_unaudited_manifest_is_a_clean_error(self):
-        manifest = RunManifest(
-            spec={}, engine="fast", trigger={}, seed=None,
-            cycles=0, value=0, wall_seconds=0.0, stats={},
-        )
-        with pytest.raises(AnalysisError, match="no cost certificate"):
-            reconcile_manifest(manifest)
-
 
 # ---------------------------------------------------------------------------
 # harness integration
@@ -680,20 +636,6 @@ class TestHarnessIntegration:
         assert (
             runner.metrics.counter("harness.audit.reconciled").value >= 1
         )
-
-    def test_manifest_with_analysis_roundtrips(self, tmp_path):
-        runner = ExperimentRunner(telemetry=True)
-        result = runner.run(
-            RunSpec("compress", Strategy.PARTIAL_DUPLICATION,
-                    ("call-edge",), trigger="counter", interval=37)
-        )
-        path = tmp_path / "cell.json"
-        result.manifest.write(path)
-        loaded = load_manifest(path)
-        assert loaded == result.manifest
-        assert loaded.analysis == result.manifest.analysis
-        # The archived manifest re-validates offline.
-        assert reconcile_manifest(loaded).ok
 
     def test_failed_audit_is_a_harness_error(self, monkeypatch):
         import repro.harness.experiment as exp

@@ -7,17 +7,20 @@ family's cells on the shared program. These tests pin that sharing is
 invisible: every cell of a mixed batch equals the same spec run alone
 in a fresh runner (value, cycles, stats, profiles, manifest), earlier
 cells' profiles survive later cells of their family, the transform runs
-once per family, and the pool agrees with the serial path.
+once per family, and the pool agrees with the serial path (cells,
+manifests, and the batch's merged self-profile).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
+from repro.profiling import merge_snapshots
 from repro.sampling import Strategy
 from repro.sampling import framework as framework_module
 
@@ -75,17 +78,29 @@ def _fingerprint(result):
 
 
 def _manifest_json(result):
-    """The manifest without its host-side fields (wall time, and where
-    the cell ran)."""
-    payload = result.manifest.as_dict()
-    payload.pop("wall_seconds")
-    payload.pop("source")
+    """The manifest without its host-side fields (wall time, the
+    self-profile's wall clock, and where the cell ran)."""
+    payload = dataclasses.asdict(result.manifest)
+    for host_side in ("wall_seconds", "profiling", "source"):
+        payload.pop(host_side)
     return json.dumps(payload, sort_keys=True)
+
+
+def _merged_profile(results):
+    """The batch's self-profiles merged into one, less wall clock."""
+    merged = merge_snapshots(result.profile["snapshot"] for result in results)
+    for wall_clock in ("elapsed_seconds", "wall_seconds"):
+        merged.pop(wall_clock)
+    merged["stacks"] = {
+        stack: count for stack, (count, _wall) in merged["stacks"].items()
+    }
+    return merged
 
 
 @pytest.fixture(scope="module")
 def batch_results():
-    runner = ExperimentRunner(cache=False, telemetry=True, jobs=1)
+    runner = ExperimentRunner(cache=False, telemetry=True, profile=True,
+                              jobs=1)
     return runner, runner.run_many(BATCH)
 
 
@@ -164,8 +179,9 @@ def test_transform_runs_once_per_family(monkeypatch):
 
 
 def test_pool_agrees_with_serial(batch_results):
-    serial_runner, serial = batch_results
-    runner = ExperimentRunner(cache=False, telemetry=True, jobs=2)
+    _serial_runner, serial = batch_results
+    runner = ExperimentRunner(cache=False, telemetry=True, profile=True,
+                              jobs=2)
     pooled = runner.run_many(BATCH)
     assert [_fingerprint(r) for r in pooled] == [
         _fingerprint(r) for r in serial
@@ -173,9 +189,8 @@ def test_pool_agrees_with_serial(batch_results):
     assert [_manifest_json(r) for r in pooled] == [
         _manifest_json(r) for r in serial
     ]
-    assert [m.spec for m in runner.manifests] == [
-        m.spec for m in serial_runner.manifests
-    ]
+    assert _merged_profile(pooled) == _merged_profile(serial)
+    assert _merged_profile(serial)["runs"] == len(BATCH)
     assert [rec.label for rec in runner.cell_log] == [
         spec.describe() for spec in BATCH
     ]

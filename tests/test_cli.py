@@ -193,6 +193,16 @@ class TestTables:
         assert "Table 1" in out
         assert "AVERAGE" in out
 
+    def test_figure7_runs_at_the_given_scale(self, capsys):
+        from repro.harness import ExperimentRunner, tables
+
+        argv = ["tables", "figure7", "--scale", "3", "--no-cache"]
+        assert main(argv) == 0
+        table, _overlap = tables.figure7(
+            ExperimentRunner(cache=False), scale=3
+        )
+        assert capsys.readouterr().out == table.render() + "\n\n"
+
     def test_bad_jobs_env_is_an_error_not_a_traceback(
         self, monkeypatch, capsys
     ):
@@ -328,6 +338,26 @@ class TestBadVerbFlags:
         err = capsys.readouterr().err
         assert err == f"error: ledger window must be >= 1, got {value}\n"
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_plan_interval_below_one(self, value, capsys):
+        argv = ["plan", "--workload", "compress", "--interval", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: sample interval must be >= 1, got {value}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("verb", ["profile", "watch"])
+    def test_top_below_one(self, verb, value, tmp_path, capsys):
+        target = ["--workload", "jess"] if verb == "profile" else [
+            str(tmp_path)
+        ]
+        assert main([verb, *target, "--top", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --top must be >= 1, got {value}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("content", [
         "not json",

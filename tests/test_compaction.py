@@ -22,7 +22,7 @@ from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
 from repro.profiles.overlap import overlap_report
-from repro.profiling import OverheadProfiler, merge_snapshots
+from repro.profiling import OverheadProfiler, diff_snapshot, merge_snapshots
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy, \
     make_trigger
 from repro.telemetry import (
@@ -38,7 +38,6 @@ from repro.telemetry import (
     TelemetryRecorder,
     compact_jsonl_to_records,
     diff_metrics_snapshot,
-    diff_profile_snapshot,
     events_to_jsonl,
     inflate,
     quantile_from_buckets,
@@ -441,7 +440,7 @@ class TestProfileDelta:
         profiler.boundary("check", "leaf", 2, 5, frames, 0)
         profiler.stop()
         current = profiler.snapshot()
-        delta = diff_profile_snapshot(base, current)
+        delta = diff_snapshot(base, current)
         merged = merge_snapshots([base, delta])
         assert merged["samples"] == current["samples"]
         assert merged["heat"] == current["heat"]
@@ -614,11 +613,8 @@ class TestHarnessCompaction:
         assert report["stream_ok"] is True
         assert report["compaction_ratio"] > 1.0
         assert 0.0 <= report["overlap_percentage"] <= 100.0
-        # the report is archived in the cell manifest
-        manifest = next(
-            m for m in runner.manifests
-            if m.telemetry.get("compaction_accuracy") is not None
-        )
+        # the report lands in the cell's memoized manifest
+        manifest = runner.run(self._spec()).manifest
         assert manifest.telemetry["compaction_accuracy"] == report
 
     def test_compaction_accuracy_requires_flags(self):

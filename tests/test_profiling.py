@@ -13,15 +13,19 @@ The profiling contract has three load-bearing clauses
    work obeys a Property-1-style bound (samples <= boundaries //
    interval + runs).
 3. **Associativity** — profile snapshots merge associatively and
-   commutatively, so pool workers' profiles fold together in any
-   grouping, exactly like metrics snapshots.
+   commutatively, so cell profiles fold together in any grouping,
+   exactly like metrics snapshots, and merging a snapshot's diff onto
+   its base gives the snapshot back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import reconcile_profile
 from repro.errors import AnalysisError, HarnessError, ReproError
@@ -33,6 +37,7 @@ from repro.profiling import (
     OverheadProfiler,
     PerfLedger,
     decompose,
+    diff_snapshot,
     make_record,
     merge_snapshots,
     resolve_ledger,
@@ -233,6 +238,88 @@ class TestMergeSnapshots:
         merged = merge_snapshots([])
         assert merged["samples"] == 0
         assert merged["runs"] == 0
+
+
+#: One profiler sample: (component, calling context, block head,
+#: opcode, wall seconds). Walls are dyadic, so every sum below is exact
+#: and rounding cannot hide a fault.
+_SAMPLES = st.lists(
+    st.tuples(
+        st.sampled_from(COMPONENTS),
+        st.sampled_from(("main", "main;f", "main;f;g", "main;g")),
+        st.sampled_from(("f@0", "f@3", "g@1", "main@7")),
+        st.sampled_from(("CHECK", "INSTR", "CALL")),
+        st.integers(0, 1 << 12).map(lambda n: n / 256),
+    ),
+    max_size=25,
+)
+
+
+def _profile_of(samples, runs=1):
+    """The snapshot a CCT-mode profiler at interval 8 takes after
+    *samples*, built without the merge under test."""
+    snap = {
+        "version": 1,
+        "interval": 8,
+        "runs": runs,
+        "boundaries": 8 * len(samples),
+        "samples": len(samples),
+        "elapsed_seconds": 0.0,
+        "wall_seconds": {c: 0.0 for c in COMPONENTS},
+        "sample_counts": {c: 0 for c in COMPONENTS},
+        "heat": {},
+        "op_heat": {},
+        "stacks": {},
+        "cct": {},
+    }
+    for component, path, site, op, wall in samples:
+        snap["elapsed_seconds"] += wall
+        snap["wall_seconds"][component] += wall
+        snap["sample_counts"][component] += 1
+        snap["heat"][site] = snap["heat"].get(site, 0) + 1
+        snap["op_heat"][op] = snap["op_heat"].get(op, 0) + 1
+        count, total = snap["stacks"].get(path, (0, 0.0))
+        snap["stacks"][path] = [count + 1, total + wall]
+        cell = snap["cct"].setdefault(path, {})
+        count, total = cell.get(component, (0, 0.0))
+        cell[component] = [count + 1, total + wall]
+    return snap
+
+
+def _leaves(table):
+    for value in table.values():
+        if isinstance(value, dict):
+            yield from _leaves(value)
+        else:
+            yield value
+
+
+class TestSnapshotAlgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(_SAMPLES, _SAMPLES)
+    def test_merging_the_diff_onto_its_base_gives_the_snapshot(
+        self, before, after
+    ):
+        base = _profile_of(before)
+        grown = _profile_of(before + after, runs=2)
+        delta = diff_snapshot(base, grown)
+        assert merge_snapshots([base, delta]) == grown
+        # only changed leaves travel, beside the interval and version
+        counted = {k: v for k, v in delta.items()
+                   if k not in ("version", "interval")}
+        assert all(
+            any(leaf) if isinstance(leaf, list) else leaf
+            for leaf in _leaves(counted)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SAMPLES, _SAMPLES, _SAMPLES)
+    def test_merge_is_associative_and_commutative(self, x, y, z):
+        a, b, c = (_profile_of(samples) for samples in (x, y, z))
+        grouped = merge_snapshots([merge_snapshots([a, b]), c])
+        assert grouped == merge_snapshots([a, merge_snapshots([b, c])])
+        assert grouped == merge_snapshots([c, b, a])
+        assert grouped == _profile_of(x + y + z, runs=3)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +698,21 @@ class TestPerfLedger:
 # harness integration
 
 
+def _counted(payload):
+    """A manifest or profile snapshot less its host-side fields: wall
+    clock (the self-profile included) and where the cell ran."""
+    payload = {
+        key: value for key, value in payload.items()
+        if key not in ("wall_seconds", "elapsed_seconds", "profiling",
+                       "source")
+    }
+    if "stacks" in payload:
+        payload["stacks"] = {
+            stack: count for stack, (count, _wall) in payload["stacks"].items()
+        }
+    return payload
+
+
 class TestHarnessProfiling:
     def _spec(self, workload="jack"):
         return RunSpec(
@@ -634,7 +736,6 @@ class TestHarnessProfiling:
         runner = ExperimentRunner()
         result = runner.run(self._spec())
         assert result.profile is None
-        assert runner.profile_snapshots == []
 
     def test_profiling_never_changes_stats(self):
         plain = ExperimentRunner().run(self._spec())
@@ -645,16 +746,6 @@ class TestHarnessProfiling:
         } == {
             k: dict(p.counts) for k, p in profiled.profiles.items()
         }
-
-    def test_profile_summary_merges_cells(self):
-        runner = ExperimentRunner(profile=True)
-        runner.run(self._spec("jack"))
-        runner.run(self._spec("volano"))
-        summary = runner.profile_summary()
-        assert summary["runs"] == 2
-        assert summary["samples"] == sum(
-            s["samples"] for s in runner.profile_snapshots
-        )
 
     def test_ledger_appends_one_record_per_cell(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -673,16 +764,28 @@ class TestHarnessProfiling:
         runner.run(self._spec())  # memo hit
         assert len(PerfLedger(path).records()) == 1
 
-    def test_pool_profiles_and_ledger_reach_parent(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        runner = ExperimentRunner(profile=True, ledger=path, jobs=2)
+    def test_pool_profiles_manifests_and_ledger_match_serial(
+        self, tmp_path
+    ):
         specs = [self._spec("jack"), self._spec("volano")]
-        outcomes = runner.run_many(specs)
-        assert len(outcomes) == 2
-        assert len(runner.profile_snapshots) == 2
-        assert runner.profile_summary()["runs"] == 2
-        # parent appends exactly once per cell, workers never do
-        assert len(PerfLedger(path).records()) == 2
+        kept = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"ledger-{jobs}.jsonl"
+            runner = ExperimentRunner(
+                profile=True, telemetry=True, ledger=path, jobs=jobs
+            )
+            results = runner.run_many(specs)
+            # the runner appends exactly once per cell, workers never do
+            assert len(PerfLedger(path).records()) == len(specs)
+            snapshots = [result.profile["snapshot"] for result in results]
+            merged = merge_snapshots(snapshots)
+            assert merged["runs"] == len(specs)
+            assert merged["samples"] == sum(s["samples"] for s in snapshots)
+            kept[jobs] = (
+                [_counted(dataclasses.asdict(r.manifest)) for r in results],
+                _counted(merged),
+            )
+        assert kept[1] == kept[2]
 
     def test_bound_violation_is_a_hard_error(self, monkeypatch):
         from repro.harness import experiment as exp_mod

@@ -30,14 +30,12 @@ from repro.analysis import reconcile_stream
 from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
-from repro.profiling import OverheadProfiler, merge_snapshots
+from repro.profiling import OverheadProfiler, diff_snapshot, merge_snapshots
 from repro.profiling.cct import (
     CallingContextTree,
     ContextTracker,
     cct_from_events,
-    diff_cct_table,
     join_path,
-    merge_cct_tables,
     split_path,
     top_contexts,
 )
@@ -121,14 +119,20 @@ class TestCallingContextTree:
         assert snap["main;f"]["check"] == [3, 0.75]
         assert snap["main"]["dispatch"] == [1, 0.0]
 
-    def test_merge_is_associative_and_diff_inverts(self):
-        base = {"main": {"check": [2, 0.5]}}
-        cur = {
-            "main": {"check": [5, 1.0], "dispatch": [1, 0.1]},
-            "main;f": {"check": [3, 0.3]},
+    def test_snapshot_diff_carries_cct_changes_and_merges_back(self):
+        base = dict(merge_snapshots([]), cct={"main": {"check": [2, 0.5]}})
+        cur = dict(merge_snapshots([]), cct={
+            "main": {"check": [5, 1.0], "dispatch": [1, 0.125]},
+            "main;f": {"check": [3, 0.375]},
+        })
+        delta = diff_snapshot(base, cur)
+        assert delta["cct"] == {
+            "main": {"check": [3, 0.5], "dispatch": [1, 0.125]},
+            "main;f": {"check": [3, 0.375]},
         }
-        delta = diff_cct_table(base, cur)
-        assert merge_cct_tables(json.loads(json.dumps(base)), delta) == cur
+        assert merge_snapshots(
+            [json.loads(json.dumps(base)), delta]
+        ) == cur
 
     def test_top_contexts_orders_by_samples(self):
         table = {
