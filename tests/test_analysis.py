@@ -6,10 +6,11 @@ Four layers, mirroring the package:
 * invariant certifier — every workload x strategy certifies clean, and
   deliberately broken transforms are rejected with the *specific* rule
   id that names the broken clause;
-* cost certificates — derivation and the bound formula evaluated
-  against doctored counters;
-* static<->dynamic reconciliation — ok and violation paths, and the
-  harness wiring that turns a violation into a hard error.
+* cost certificates — derivation, the JSON-able dict manifests carry,
+  and the bound formula evaluated against doctored counters;
+* static<->dynamic reconciliation — ok and violation paths, the
+  manifest's verdict re-derived from its own counters, and the harness
+  wiring that turns a violation into a hard error.
 """
 
 import json
@@ -549,6 +550,19 @@ class TestCostCertificate:
             "no GUARDED_INSTR sites" in p for p in cert.violations(bad2)
         )
 
+    def test_certificate_dict_is_json_able(self, baseline):
+        transformed = transform(baseline, Strategy.PARTIAL_DUPLICATION)
+        cert = audit_program(
+            transformed, strategy=PARTIAL_DUPLICATION
+        ).certificate
+        payload = cert.as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["strategy"] == cert.strategy
+        assert payload["formula"] == cert.formula
+        assert [f["function"] for f in payload["functions"]] == [
+            f.function for f in cert.functions
+        ]
+
     def test_dynamic_bound_holds_on_a_real_run(self, baseline):
         transformed = transform(baseline, Strategy.FULL_DUPLICATION)
         cert = audit_program(
@@ -636,6 +650,23 @@ class TestHarnessIntegration:
         assert (
             runner.metrics.counter("harness.audit.reconciled").value >= 1
         )
+
+    def test_manifest_verdict_follows_from_its_stats(self):
+        runner = ExperimentRunner(telemetry=True)
+        result = runner.run(
+            RunSpec("compress", Strategy.PARTIAL_DUPLICATION,
+                    ("call-edge",), trigger="counter", interval=37)
+        )
+        manifest = result.manifest
+        cert = result.audit.certificate
+        assert manifest.analysis["certificate"] == cert.as_dict()
+        # the recorded verdict is the certificate checked against the
+        # manifest's own counters
+        verdict = reconcile(cert, manifest.stats)
+        assert verdict.ok
+        assert verdict.as_dict() == manifest.analysis["verdict"]
+        doctored = dict(manifest.stats, checks_executed=10**9)
+        assert not reconcile(cert, doctored).ok
 
     def test_failed_audit_is_a_harness_error(self, monkeypatch):
         import repro.harness.experiment as exp

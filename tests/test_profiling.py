@@ -747,6 +747,20 @@ class TestHarnessProfiling:
             k: dict(p.counts) for k, p in profiled.profiles.items()
         }
 
+    def test_memoized_profiles_merge_across_cells(self):
+        runner = ExperimentRunner(profile=True)
+        results = [runner.run(self._spec(w)) for w in ("jack", "volano")]
+        snapshots = [result.profile["snapshot"] for result in results]
+        merged = merge_snapshots(snapshots)
+        assert merged["runs"] == 2
+        assert merged["samples"] == sum(s["samples"] for s in snapshots)
+        assert merged["boundaries"] == sum(s["boundaries"] for s in snapshots)
+        assert reconcile_profile(merged).ok
+        # a memo hit hands back the kept snapshot, not a new store
+        assert runner.run(self._spec("jack")).profile["snapshot"] is (
+            snapshots[0]
+        )
+
     def test_ledger_appends_one_record_per_cell(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         runner = ExperimentRunner(ledger=path)

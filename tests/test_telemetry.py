@@ -10,12 +10,14 @@ The observability contract has three load-bearing clauses
    computes: ExecStats and sampled profiles are identical with
    telemetry on and off, across the whole workload suite.
 3. **Round-trips** — event streams survive serialization exactly
-   (write → load → equal).
+   (write → load → equal), and manifests survive pickling.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -329,6 +331,14 @@ class TestManifests:
         assert manifest.telemetry["active"] is True
         # the memoized result is the one store of the manifest
         assert runner.run(result.spec).manifest is manifest
+
+    def test_manifest_pickles_and_stays_json_able(self):
+        _, result = self._run()
+        manifest = result.manifest
+        # pool workers ship the manifest back pickled
+        assert pickle.loads(pickle.dumps(manifest)) == manifest
+        payload = dataclasses.asdict(manifest)
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_pool_manifests_reach_parent(self):
         runner = ExperimentRunner(cache=False, telemetry=True, jobs=2)
