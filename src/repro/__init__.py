@@ -6,8 +6,8 @@ simulated machine:
 
 * :mod:`repro.frontend` — the MiniJ language (lexer, parser, checker,
   code generator) standing in for Java source;
-* :mod:`repro.bytecode` — a stack bytecode with builder, assembler,
-  disassembler, and verifier;
+* :mod:`repro.bytecode` — a stack bytecode with builder, disassembler,
+  and verifier;
 * :mod:`repro.cfg` — control-flow graphs, dominators, loops, dataflow,
   re-linearization;
 * :mod:`repro.opt` — folding, peephole, DCE, inlining, unrolling;
@@ -58,7 +58,6 @@ __all__ = ["__version__"] + lazy_exports(__name__, {
     "bytecode.klass": ("Klass",),
     "bytecode.program": ("Program",),
     "bytecode.builder": ("BytecodeBuilder",),
-    "bytecode.assembler": ("assemble",),
     "bytecode.disassembler": ("disassemble_function", "disassemble_program"),
     "bytecode.verifier": ("verify_program",),
     "instrument.base": (
@@ -71,7 +70,6 @@ __all__ = ["__version__"] + lazy_exports(__name__, {
     ),
     "instrument.value_profile": ("ParameterValueInstrumentation",),
     "instrument.path_profile": ("PathProfileInstrumentation",),
-    "instrument.apply": ("instrument_program",),
     "sampling.framework": ("SamplingFramework", "Strategy", "transform_program"),
     "sampling.triggers": (
         "CounterTrigger", "TimerTrigger", "RandomizedCounterTrigger",

@@ -12,8 +12,4 @@ __all__ = lazy_exports(__name__, {
         "AdaptiveVMSimulation", "SimulationResult", "EpochReport",
         "MethodState",
     ),
-    "specialize": (
-        "SpecializationCandidate", "specialization_candidates",
-        "specialize_function", "specialize_from_profile",
-    ),
 })

@@ -131,10 +131,10 @@ class AdaptiveVMSimulation:
         plan: optional :class:`~repro.analysis.planner.StrategyPlan`
             (or a ``{function: strategy}`` mapping) feeding the static
             planner's per-function strategy choices forward into the
-            online system: each epoch's profiling image is built with
-            :func:`~repro.sampling.framework.transform_planned` instead
-            of uniform Full-Duplication, so cold/unreachable methods
-            skip the duplication cost from epoch 0 onward.
+            online system: each epoch's profiling image is transformed
+            under the plan's assignments instead of uniform
+            Full-Duplication, so cold/unreachable methods skip the
+            duplication cost from epoch 0 onward.
     """
 
     def __init__(
@@ -217,17 +217,9 @@ class AdaptiveVMSimulation:
         strategy; methods the plan never saw — e.g. created by later
         recompilation — fall back to Full-Duplication.
         """
-        if self.plan_assignments:
-            from repro.sampling.framework import transform_planned
-
-            return transform_planned(
-                program,
-                instr,
-                self.plan_assignments,
-                default=Strategy.FULL_DUPLICATION,
-            )
-        framework = SamplingFramework(Strategy.FULL_DUPLICATION)
-        return framework.transform(program, instr)
+        return SamplingFramework(Strategy.FULL_DUPLICATION).transform(
+            program, instr, assignments=self.plan_assignments
+        )
 
     # -- main loop -----------------------------------------------------------------
 

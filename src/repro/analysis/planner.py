@@ -25,7 +25,7 @@ The resulting :class:`StrategyPlan` is a JSON artifact (per-function
 strategy, predicted cpe/cpb, predicted cost polynomial, rationale and
 rule citations) and a runnable configuration: ``StrategyPlan.key()``
 feeds ``RunSpec.plan``, which applies the whole mix in one run via
-:func:`repro.sampling.framework.transform_planned`; the plan reconciler
+``SamplingFramework.transform(assignments=...)``; the plan reconciler
 (:func:`repro.analysis.reconcile.reconcile_plan`) then holds the run to
 each function's *certified* bound — predictions rank, certificates
 enforce.

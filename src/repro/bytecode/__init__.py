@@ -1,4 +1,4 @@
-"""Stack-machine bytecode: ISA, containers, builder, (dis)assembler, verifier."""
+"""Stack-machine bytecode: ISA, containers, builder, disassembler, verifier."""
 
 from repro._lazy import lazy_exports
 
@@ -9,7 +9,6 @@ __all__ = lazy_exports(__name__, {
     "klass": ("Klass",),
     "program": ("Program",),
     "builder": ("BytecodeBuilder",),
-    "assembler": ("assemble",),
     "disassembler": ("disassemble_function", "disassemble_program"),
     "verifier": ("verify_function", "verify_program"),
 })

@@ -1,8 +1,6 @@
 """Disassembler: render functions and programs as readable text.
 
-Round-trips with :mod:`repro.bytecode.assembler` for code free of
-framework pseudo-payloads (INSTR actions render as comments, since they
-carry Python objects that the assembler cannot reconstruct).
+INSTR actions render as comments, since they carry Python objects.
 """
 
 from __future__ import annotations

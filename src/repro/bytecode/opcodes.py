@@ -196,10 +196,3 @@ def stack_effect(op: Op) -> Tuple[int, int]:
 def is_binary(op: Op) -> bool:
     """True if *op* pops two integers and pushes one."""
     return op in _BINARY_OPS
-
-
-#: Lower-case mnemonic -> opcode, used by the assembler.
-MNEMONICS: Dict[str, Op] = {op.name.lower(): op for op in Op}
-#: ``ret`` is accepted as a synonym for ``return`` (which is a Python keyword
-#: and awkward in hand-written assembly).
-MNEMONICS["ret"] = Op.RETURN

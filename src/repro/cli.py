@@ -321,7 +321,12 @@ def _resolve_strategy(name: str) -> Strategy:
 
 def _kinds(args: argparse.Namespace) -> Tuple[str, ...]:
     """The ``--instrument`` kinds, in order."""
-    return tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    kinds = tuple(k.strip() for k in args.instrument.split(",") if k.strip())
+    if not kinds:
+        raise ReproError(
+            "--instrument names no kind; use 'none' to run uninstrumented"
+        )
+    return kinds
 
 
 def _targets(
@@ -578,6 +583,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from repro.telemetry.streaming import SpoolReader, tail_epochs
 
     if args.follow:
+        # tail_epochs counts --timeout by summing its sleeps.
+        if args.poll <= 0:
+            raise ReproError(f"--poll must be > 0, got {args.poll:g}")
         reader = None
         for reader, fresh in tail_epochs(
             args.spool, poll_seconds=args.poll, timeout=args.timeout

@@ -24,16 +24,6 @@ class VerificationError(BytecodeError):
     """
 
 
-class AssemblerError(BytecodeError):
-    """Syntax or semantic error in textual bytecode assembly."""
-
-    def __init__(self, message: str, line: int = 0):
-        self.line = line
-        if line:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class FrontendError(ReproError):
     """Base class for MiniJ compilation errors."""
 

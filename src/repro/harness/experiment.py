@@ -34,6 +34,7 @@ from repro.analysis import (
     reconcile_profile,
     reconcile_stream,
 )
+from repro.analysis.context import DUPLICATING_STRATEGIES
 from repro.bytecode.program import Program
 from repro.errors import HarnessError
 from repro.harness.formatting import render_table
@@ -118,8 +119,8 @@ class RunSpec:
     #: value) pairs, the hashable form a
     #: :meth:`~repro.analysis.planner.StrategyPlan.key` produces. When
     #: set, the program is transformed by
-    #: :func:`~repro.sampling.framework.transform_planned` with
-    #: ``strategy`` as the default for unplanned functions, audited
+    #: :meth:`~repro.sampling.framework.SamplingFramework.transform` with
+    #: these ``assignments`` and ``strategy`` as the default, audited
     #: under the per-function stamps, and reconciled per function
     #: (:func:`~repro.analysis.reconcile.reconcile_plan`).
     plan: Optional[Tuple[Tuple[str, str], ...]] = None
@@ -178,11 +179,12 @@ def cell_seed(spec: RunSpec) -> int:
             str(spec.phase),
             str(spec.yieldpoint_opt),
         ]
-        # Planned cells mix per-function strategies, and counted
-        # backedges change the transformed program, so both are part
-        # of the cell's identity; specs at their defaults keep their
-        # historical seeds.
+        # Planned cells mix per-function strategies, counted backedges
+        # change the transformed program, and an explicit seed changes
+        # the trigger, so all three are part of the cell's identity;
+        # specs at their defaults keep their historical seeds.
         + ([str(spec.plan)] if spec.plan is not None else [])
+        + ([f"seed={spec.seed}"] if spec.seed is not None else [])
         + (
             [f"iterations={spec.sample_iterations}"]
             if spec.sample_iterations != 1
@@ -533,36 +535,18 @@ class ExperimentRunner:
             yieldpoint_opt=spec.yieldpoint_opt,
             sample_iterations=spec.sample_iterations,
         )
-        checks_only = spec.strategy in (
-            Strategy.CHECKS_ONLY_ENTRY,
-            Strategy.CHECKS_ONLY_BACKEDGE,
-        )
+        if spec.plan is not None and spec.sample_iterations > 1:
+            # Counted backedges need Full-Duplication in every function.
+            raise HarnessError(
+                f"{spec.describe()}: sample_iterations="
+                f"{spec.sample_iterations} counts backedges, which "
+                "needs Full-Duplication, but a strategy plan mixes "
+                "strategies"
+            )
         t0 = time.perf_counter()
-        if spec.plan is not None:
-            from repro.sampling.framework import transform_planned
-
-            if spec.sample_iterations > 1:
-                # transform_planned has no counted backedges to offer.
-                raise HarnessError(
-                    f"{spec.describe()}: sample_iterations="
-                    f"{spec.sample_iterations} counts backedges, which "
-                    "needs Full-Duplication, but a strategy plan mixes "
-                    "strategies"
-                )
-            # Mixed-strategy transform: each function under its planned
-            # strategy, spec.strategy as the default, and a PlannedLoader
-            # keeping dynamically arriving code on plan.
-            transformed = transform_planned(
-                program,
-                instrumentations,
-                dict(spec.plan),
-                default=spec.strategy,
-                yieldpoint_opt=spec.yieldpoint_opt,
-            )
-        else:
-            transformed = framework.transform(
-                program, None if checks_only else instrumentations
-            )
+        transformed = framework.transform(
+            program, instrumentations, assignments=dict(spec.plan or ())
+        )
         seconds = time.perf_counter() - t0
 
         audit_report = audit_program(
@@ -687,19 +671,9 @@ class ExperimentRunner:
                 f"{spec.describe()}: transformed program diverged "
                 f"(value {result.value} vs {base_result.value})"
             )
-        duplicating = spec.strategy in (
-            Strategy.FULL_DUPLICATION,
-            Strategy.PARTIAL_DUPLICATION,
+        duplicating = not DUPLICATING_STRATEGIES.isdisjoint(
+            [spec.strategy.value, *dict(spec.plan or ()).values()]
         )
-        if spec.plan is not None:
-            duplicating = duplicating or any(
-                value
-                in (
-                    Strategy.FULL_DUPLICATION.value,
-                    Strategy.PARTIAL_DUPLICATION.value,
-                )
-                for _, value in spec.plan
-            )
         if duplicating and not property1_vs_baseline(
             result.stats, base_result.stats
         ):

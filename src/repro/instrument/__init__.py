@@ -1,4 +1,4 @@
-"""Instrumentation kinds and the exhaustive-instrumentation driver."""
+"""Instrumentation kinds."""
 
 from repro._lazy import lazy_exports
 
@@ -7,7 +7,6 @@ __all__ = lazy_exports(__name__, {
         "Instrumentation", "InstrumentationAction", "CombinedInstrumentation",
         "count_instr_ops",
     ),
-    "apply": ("instrument_program",),
     "call_edge": (
         "CallEdgeInstrumentation", "CallEdgeAction", "assign_call_site_ids",
     ),
@@ -19,11 +18,7 @@ __all__ = lazy_exports(__name__, {
     "block_profile": (
         "BlockCountInstrumentation", "EdgeProfileInstrumentation", "CountAction",
     ),
-    "branch_bias": (
-        "BranchBiasInstrumentation", "branch_biases", "strongly_biased_branches",
-    ),
-    "value_profile": (
-        "ParameterValueInstrumentation", "StoreValueInstrumentation",
-    ),
+    "branch_bias": ("BranchBiasInstrumentation",),
+    "value_profile": ("ParameterValueInstrumentation",),
     "path_profile": ("PathProfileInstrumentation",),
 })

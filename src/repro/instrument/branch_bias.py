@@ -13,14 +13,13 @@ across baseline / exhaustive / sampled variants.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import List, Tuple
 
 from repro.bytecode.program import Program
 from repro.cfg.basic_block import CondBranch
 from repro.cfg.graph import CFG
 from repro.instrument.base import Instrumentation
 from repro.instrument.block_profile import CountAction
-from repro.profiles.profile import Profile
 
 
 class BranchBiasInstrumentation(Instrumentation):
@@ -64,37 +63,3 @@ class BranchBiasInstrumentation(Instrumentation):
                     self.action_cost,
                 ),
             )
-
-
-def branch_biases(profile: Profile) -> Dict[Hashable, float]:
-    """Per-branch taken fraction from a (possibly sampled) profile.
-
-    Returns ``{(function, bid): taken / (taken + fallthrough)}`` for
-    every branch with at least one observation.
-    """
-    totals: Dict[Tuple, List[int]] = {}
-    for (function, bid, arm), count in profile.counts.items():
-        entry = totals.setdefault((function, bid), [0, 0])
-        if arm == "taken":
-            entry[0] += count
-        else:
-            entry[1] += count
-    return {
-        key: taken / (taken + fall)
-        for key, (taken, fall) in totals.items()
-        if taken + fall > 0
-    }
-
-
-def strongly_biased_branches(
-    profile: Profile, threshold: float = 0.9
-) -> List[Tuple[Hashable, float]]:
-    """Branches taken (or not taken) at least *threshold* of the time —
-    the candidates a layout/superblock pass would act on."""
-    result = []
-    for key, bias in branch_biases(profile).items():
-        extremity = max(bias, 1.0 - bias)
-        if extremity >= threshold:
-            result.append((key, bias))
-    result.sort(key=lambda item: (-max(item[1], 1 - item[1]), repr(item[0])))
-    return result

@@ -1,13 +1,9 @@
 """Value profiling (Calder/Feller-style, cited by the paper as [15, 26]).
 
-Two variants:
-
-* :class:`ParameterValueInstrumentation` — at each function entry,
-  record the values of the first *k* integer parameters. This is the
-  paper's §4.3 suggestion of profiling "parameter values that can be
-  used to guide specialization" with a single entry check.
-* :class:`StoreValueInstrumentation` — before each STORE to a chosen
-  local slot, record the value being stored (top of stack).
+:class:`ParameterValueInstrumentation` records, at each function entry,
+the values of the first *k* integer parameters. This is the paper's §4.3
+suggestion of profiling "parameter values that can be used to guide
+specialization" with a single entry check.
 
 Keys are ``(function, site, value)`` with values clamped into a small
 signed range so profiles stay bounded (real value profilers use
@@ -16,9 +12,8 @@ top-N-value tables; clamping is our bounded equivalent).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.bytecode.opcodes import Op
 from repro.bytecode.program import Program
 from repro.cfg.graph import CFG
 from repro.instrument.base import Instrumentation, InstrumentationAction
@@ -79,48 +74,3 @@ class ParameterValueInstrumentation(Instrumentation):
         action = ParamValueAction(cfg.name, num, self.profile)
         action.cost = self.action_cost
         self.insert_at_entry(cfg, action)
-
-
-class StoreValueAction(InstrumentationAction):
-    """Record the value about to be stored (top of operand stack)."""
-
-    cost = 15
-
-    def __init__(self, site_key, profile: Profile):
-        self.site_key = site_key
-        self.profile = profile
-
-    def execute(self, vm: "VM", frame: "Frame") -> None:
-        if frame.stack:
-            self.profile.record(
-                self.site_key + (clamp_value(frame.stack[-1]),)
-            )
-
-    def describe(self) -> str:
-        return f"store-value {self.site_key!r}"
-
-
-class StoreValueInstrumentation(Instrumentation):
-    """Profile values written to locals (optionally one slot only)."""
-
-    kind = "store-value"
-
-    def __init__(self, slot: Optional[int] = None, action_cost: int = 15):
-        super().__init__()
-        self.slot = slot
-        self.action_cost = action_cost
-
-    def instrument_cfg(self, cfg: CFG, program: Program) -> None:
-        for block in cfg.blocks.values():
-            positions = [
-                (index, ins)
-                for index, ins in enumerate(block.instructions)
-                if ins.op == Op.STORE
-                and (self.slot is None or ins.arg == self.slot)
-            ]
-            for offset, (index, ins) in enumerate(positions):
-                action = StoreValueAction(
-                    (cfg.name, block.bid, index, ins.arg), self.profile
-                )
-                action.cost = self.action_cost
-                self.insert_before(cfg, block.bid, index + offset, action)

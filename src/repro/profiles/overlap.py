@@ -15,7 +15,7 @@ paper's definition of an accurate sampled profile.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, List, Tuple
 
 from repro.profiles.profile import Profile
 
@@ -45,38 +45,6 @@ def overlap_percentage(perfect: Profile, sampled: Profile) -> float:
         if other:
             acc += min(weight / smaller_total, other / larger_total)
     return 100.0 * acc
-
-
-def overlap_report(perfect: Profile, sampled: Profile) -> Dict[str, object]:
-    """One-call accuracy summary for manifests and the compaction gate:
-    the §4.4 overlap plus the support sizes that explain it."""
-    return {
-        "overlap_percentage": round(overlap_percentage(perfect, sampled), 3),
-        "perfect_keys": len(perfect),
-        "sampled_keys": len(sampled),
-        "shared_keys": len(
-            set(perfect.counts) & set(sampled.counts)
-        ),
-        "perfect_total": perfect.total(),
-        "sampled_total": sampled.total(),
-    }
-
-
-def per_key_overlap(
-    perfect: Profile, sampled: Profile
-) -> Dict[Hashable, float]:
-    """Per-key min(sample-percentage) terms, as percentages."""
-    result: Dict[Hashable, float] = {}
-    total_p = perfect.total()
-    total_s = sampled.total()
-    if total_p == 0 or total_s == 0:
-        return result
-    keys = set(perfect.counts) | set(sampled.counts)
-    for key in keys:
-        result[key] = 100.0 * min(
-            perfect.count(key) / total_p, sampled.count(key) / total_s
-        )
-    return result
 
 
 def overlap_series(

@@ -9,7 +9,6 @@ the events can still overlap 90%+ with a perfect one.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Hashable, Iterator, List, Tuple
 
 Key = Hashable
@@ -81,39 +80,5 @@ class Profile:
             self.counts.items(), key=lambda item: (-item[1], repr(item[0]))
         )[:n]
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize (keys stringified via repr; round-trips through
-        :meth:`from_json` for keys that are strings or tuples of
-        str/int)."""
-        payload = {
-            "name": self.name,
-            "counts": [[_encode_key(k), v] for k, v in sorted(
-                self.counts.items(), key=lambda item: repr(item[0])
-            )],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Profile":
-        payload = json.loads(text)
-        profile = cls(payload["name"])
-        for encoded, weight in payload["counts"]:
-            profile.record(_decode_key(encoded), weight)
-        return profile
-
     def __repr__(self) -> str:
         return f"<Profile {self.name!r} keys={len(self)} total={self.total()}>"
-
-
-def _encode_key(key: Key):
-    if isinstance(key, tuple):
-        return {"t": [_encode_key(part) for part in key]}
-    return key
-
-
-def _decode_key(encoded) -> Key:
-    if isinstance(encoded, dict) and "t" in encoded:
-        return tuple(_decode_key(part) for part in encoded["t"])
-    return encoded

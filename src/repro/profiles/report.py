@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.profiles.overlap import overlap_percentage, overlap_series
+from repro.profiles.overlap import overlap_series
 from repro.profiles.profile import Profile
 
 
@@ -28,25 +28,6 @@ def profile_summary(profile: Profile, top_n: int = 10) -> str:
     for key, weight in profile.top(top_n):
         pct = 100.0 * weight / total if total else 0.0
         lines.append(f"  {pct:6.2f}%  {weight:>10d}  {format_key(key)}")
-    return "\n".join(lines)
-
-
-def comparison_report(
-    perfect: Profile, sampled: Profile, top_n: int = 20
-) -> str:
-    """Figure-7-style text report: per-key perfect vs sampled
-    percentages plus the overall overlap."""
-    lines: List[str] = [
-        f"overlap({perfect.name!r}, {sampled.name!r}) = "
-        f"{overlap_percentage(perfect, sampled):.1f}%",
-        f"{'perfect%':>9} {'sampled%':>9}  key",
-    ]
-    for key, perfect_pct, sampled_pct in overlap_series(
-        perfect, sampled, top_n
-    ):
-        lines.append(
-            f"{perfect_pct:8.3f}% {sampled_pct:8.3f}%  {format_key(key)}"
-        )
     return "\n".join(lines)
 
 

@@ -5,16 +5,12 @@ from repro._lazy import lazy_exports
 __all__ = lazy_exports(__name__, {
     "framework": (
         "SamplingFramework", "Strategy", "TransformReport", "transform_program",
-        "transform_planned", "PlannedLoader",
+        "transform_planned",
     ),
     "duplication": ("full_duplicate", "DuplicationResult", "dup_dag_edges"),
     "partial_duplication": ("partial_duplicate", "PartialDuplicationStats"),
     "no_duplication": ("no_duplicate",),
     "checks": ("insert_checks_only",),
-    "budget": (
-        "BudgetSelection", "select_functions_within_budget",
-        "hotness_from_samples",
-    ),
     "triggers": (
         "Trigger", "NeverTrigger", "CounterTrigger", "BurstTrigger",
         "PerThreadCounterTrigger", "TimerTrigger", "RandomizedCounterTrigger",

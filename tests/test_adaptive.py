@@ -135,13 +135,14 @@ class TestController:
         assert outcome.speedup_pct > 0
 
     def test_profiling_cheaper_than_exhaustive(self):
-        from repro.instrument import CallEdgeInstrumentation, instrument_program
+        from repro.instrument import CallEdgeInstrumentation
+        from repro.sampling import Strategy, transform_program
 
         baseline = compile_baseline(SOURCE)
         outcome = AdaptiveController(interval=37).optimize(baseline)
 
         instr = CallEdgeInstrumentation()
-        exhaustive = instrument_program(baseline, instr)
+        exhaustive = transform_program(baseline, instr, Strategy.EXHAUSTIVE)
         exhaustive_cycles = run_program(exhaustive).stats.cycles
         assert outcome.profiling_cycles < exhaustive_cycles
 

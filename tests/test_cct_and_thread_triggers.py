@@ -6,7 +6,6 @@ from repro.frontend import compile_baseline
 from repro.instrument import (
     CCTInstrumentation,
     build_cct,
-    instrument_program,
     render_cct,
 )
 from repro.sampling import (
@@ -15,6 +14,7 @@ from repro.sampling import (
     SamplingFramework,
     Strategy,
     make_trigger,
+    transform_program,
 )
 from repro.vm import run_program
 from repro.workloads import get_workload
@@ -64,7 +64,7 @@ def baseline():
 class TestCCT:
     def test_exhaustive_contexts_are_complete(self, baseline):
         instr = CCTInstrumentation(max_depth=6)
-        program = instrument_program(baseline, instr)
+        program = transform_program(baseline, instr, Strategy.EXHAUSTIVE)
         base = run_program(baseline)
         result = run_program(program)
         assert result.value == base.value
@@ -76,7 +76,7 @@ class TestCCT:
 
     def test_context_counts(self, baseline):
         instr = CCTInstrumentation(max_depth=6)
-        run_program(instrument_program(baseline, instr))
+        run_program(transform_program(baseline, instr, Strategy.EXHAUSTIVE))
         counts = instr.profile.counts
         assert counts[("main", "outer", "middle", "leafWork")] == 80
         assert counts[("main", "leafWork")] == 1
@@ -84,7 +84,7 @@ class TestCCT:
 
     def test_depth_bound_truncates(self, baseline):
         instr = CCTInstrumentation(max_depth=2)
-        run_program(instrument_program(baseline, instr))
+        run_program(transform_program(baseline, instr, Strategy.EXHAUSTIVE))
         assert all(len(k) <= 2 for k in instr.profile.counts)
         # truncated contexts keep the innermost frames
         assert ("middle", "leafWork") in instr.profile.counts
@@ -103,7 +103,7 @@ class TestCCT:
 
     def test_build_and_render_cct(self, baseline):
         instr = CCTInstrumentation(max_depth=6)
-        run_program(instrument_program(baseline, instr))
+        run_program(transform_program(baseline, instr, Strategy.EXHAUSTIVE))
         tree = build_cct(instr.profile)
         main_node = tree.children["main"]
         assert main_node.total_descendant_count() == instr.profile.total()

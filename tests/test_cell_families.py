@@ -145,25 +145,20 @@ def test_earlier_profiles_survive_later_cells(monkeypatch):
 
 
 def test_transform_runs_once_per_family(monkeypatch):
-    calls = {"transform": 0, "planned": 0}
+    calls = {"transform": 0}
     transform = framework_module.SamplingFramework.transform
-    planned = framework_module.transform_planned
 
     def counting_transform(self, *args, **kwargs):
         calls["transform"] += 1
         return transform(self, *args, **kwargs)
 
-    def counting_planned(*args, **kwargs):
-        calls["planned"] += 1
-        return planned(*args, **kwargs)
-
     monkeypatch.setattr(
         framework_module.SamplingFramework, "transform", counting_transform
     )
-    monkeypatch.setattr(framework_module, "transform_planned", counting_planned)
     runner = ExperimentRunner(cache=False, jobs=1)
     runner.run_many(BATCH)
-    assert calls == {"transform": len(FAMILIES) - 1, "planned": 1}
+    # the planned family goes through the same transform
+    assert calls["transform"] == len(FAMILIES)
     assert (
         runner.metrics.counter("harness.transform.families").value
         == len(FAMILIES)
@@ -175,7 +170,7 @@ def test_transform_runs_once_per_family(monkeypatch):
     lone = ExperimentRunner(cache=False)
     lone.run(BATCH[0])
     lone.run(BATCH[1])
-    assert calls["transform"] == len(FAMILIES) + 1
+    assert calls["transform"] == len(FAMILIES) + 2
 
 
 def test_pool_agrees_with_serial(batch_results):

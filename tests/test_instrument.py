@@ -12,12 +12,11 @@ from repro.instrument import (
     FieldAccessInstrumentation,
     ParameterValueInstrumentation,
     PathProfileInstrumentation,
-    StoreValueInstrumentation,
     assign_call_site_ids,
     count_instr_ops,
-    instrument_program,
 )
 from repro.instrument.base import EmptyInstrumentation
+from repro.sampling import Strategy, transform_program
 from repro.vm import run_program
 
 SOURCE = """
@@ -64,7 +63,7 @@ def base_result(baseline):
 
 
 def run_instrumented(baseline, instr):
-    program = instrument_program(baseline, instr)
+    program = transform_program(baseline, instr, Strategy.EXHAUSTIVE)
     return run_program(program)
 
 
@@ -144,8 +143,10 @@ class TestBlockAndEdge:
         """Flow conservation: edges into a block sum to its executions."""
         edges = EdgeProfileInstrumentation()
         blocks = BlockCountInstrumentation()
-        program = instrument_program(
-            baseline, CombinedInstrumentation([blocks, edges])
+        program = transform_program(
+            baseline,
+            CombinedInstrumentation([blocks, edges]),
+            Strategy.EXHAUSTIVE,
         )
         result = run_program(program)
         assert result.value == base_result.value
@@ -177,12 +178,6 @@ class TestValueProfiles:
         # looper called with 4..9, once each
         observed = sorted(k[2] for k in looper_keys)
         assert observed == [4, 5, 6, 7, 8, 9]
-
-    def test_store_values(self, baseline, base_result):
-        instr = StoreValueInstrumentation()
-        result = run_instrumented(baseline, instr)
-        assert result.value == base_result.value
-        assert instr.profile.total() > 0
 
     def test_value_clamping(self):
         from repro.instrument.value_profile import clamp_value, VALUE_CLAMP
@@ -226,7 +221,9 @@ class TestPathProfile:
 
 class TestInfrastructure:
     def test_empty_instrumentation_adds_nothing(self, baseline):
-        program = instrument_program(baseline, EmptyInstrumentation())
+        program = transform_program(
+            baseline, EmptyInstrumentation(), Strategy.EXHAUSTIVE
+        )
         assert program.total_instructions() == baseline.total_instructions()
 
     def test_combined_requires_parts(self):
@@ -237,7 +234,7 @@ class TestInfrastructure:
         from repro.cfg import CFG
 
         instr = BlockCountInstrumentation()
-        program = instrument_program(baseline, instr)
+        program = transform_program(baseline, instr, Strategy.EXHAUSTIVE)
         cfg = CFG.from_function(program.function("looper"))
         assert count_instr_ops(cfg) == len(cfg.blocks)
 
@@ -248,14 +245,18 @@ class TestInfrastructure:
         instr.reset()
         assert not instr.profile
 
-    def test_instrument_program_leaves_input_untouched(self, baseline):
+    def test_exhaustive_transform_leaves_input_untouched(self, baseline):
         before = baseline.total_instructions()
-        instrument_program(baseline, BlockCountInstrumentation())
+        transform_program(
+            baseline, BlockCountInstrumentation(), Strategy.EXHAUSTIVE
+        )
         assert baseline.total_instructions() == before
 
     def test_selective_function_instrumentation(self, baseline, base_result):
         instr = CallEdgeInstrumentation()
-        program = instrument_program(baseline, instr, functions=["looper"])
+        program = transform_program(
+            baseline, instr, Strategy.EXHAUSTIVE, functions=["looper"]
+        )
         result = run_program(program)
         assert result.value == base_result.value
         assert all(k[2] == "looper" for k in instr.profile.counts)

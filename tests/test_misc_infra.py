@@ -38,10 +38,6 @@ class TestErrors:
         trap = errors.VMTrap("boom", "f", 12)
         assert "f@12" in str(trap)
 
-    def test_assembler_error_line(self):
-        err = errors.AssemblerError("oops", line=9)
-        assert "line 9" in str(err)
-
 
 class TestDisassembler:
     def test_with_pc_mode(self):

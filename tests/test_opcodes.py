@@ -8,7 +8,6 @@ from repro.bytecode.opcodes import (
     CONDITIONAL_BRANCH_OPS,
     FIELD_REF_OPS,
     FUNCTION_REF_OPS,
-    MNEMONICS,
     Op,
     PSEUDO_OPS,
     STACK_EFFECTS,
@@ -83,12 +82,3 @@ class TestStackEffects:
         assert is_binary(Op.NE)
         assert not is_binary(Op.NEG)
         assert not is_binary(Op.PUSH)
-
-
-class TestMnemonics:
-    def test_all_opcodes_have_mnemonics(self):
-        for op in Op:
-            assert MNEMONICS[op.name.lower()] is op
-
-    def test_ret_alias(self):
-        assert MNEMONICS["ret"] is Op.RETURN

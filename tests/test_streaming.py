@@ -484,6 +484,23 @@ class TestHarnessStreaming:
         stream_info = result.manifest.telemetry["stream"]
         assert stream_info["closed"] and stream_info["path"] == result.spool
 
+    def test_cells_differing_only_in_seed_stream_to_their_own_spools(
+        self, tmp_path
+    ):
+        runner = ExperimentRunner(cache=False, stream=tmp_path / "live")
+        results = [
+            runner.run(RunSpec(
+                "compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                trigger="randomized", interval=100, seed=seed,
+            ))
+            for seed in (1, 2)
+        ]
+        assert results[0].spool != results[1].spool
+        for result in results:
+            reader = SpoolReader(result.spool)
+            assert reader.closed
+            assert reader.final_metrics() == result.manifest.metrics
+
     def test_stream_implies_telemetry_and_compaction(self, tmp_path):
         runner = ExperimentRunner(stream=tmp_path / "live")
         assert runner.telemetry and runner.compaction

@@ -76,10 +76,12 @@ class TestCheckPlacementVerifier:
     def test_rejects_instrumented_checking_code(self, plain_program):
         # Exhaustive instrumentation has INSTR in the main (checking)
         # path and must fail the duplication-structure check.
-        from repro.instrument import instrument_program
+        from repro.sampling import Strategy, transform_program
 
-        prog = instrument_program(
-            insert_yieldpoints(plain_program), CallEdgeInstrumentation()
+        prog = transform_program(
+            insert_yieldpoints(plain_program),
+            CallEdgeInstrumentation(),
+            Strategy.EXHAUSTIVE,
         )
         ctx = AuditContext(prog.function("spin"), strategy=FULL_DUPLICATION)
         assert run_rules(ctx, rule_ids=("AUD001", "AUD002", "AUD003"))
