@@ -52,7 +52,7 @@ from repro.telemetry.events import (
     TIMER_TICK,
     Event,
 )
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.ring import EventRing
 
 
@@ -139,8 +139,9 @@ class TelemetryRecorder(NullRecorder):
             first-observation order by a
             :class:`~repro.profiling.cct.ContextTracker` (so they are
             engine-identical whenever the event streams are). Off by
-            default: the extra field changes the stream's bytes, and
-            interning costs a tuple build per event. With ``suppress``
+            default: the extra field changes the stream's bytes. Each
+            frame's path is interned once, at the frame's first event,
+            and its id kept on the frame. With ``suppress``
             the suppression windows also key on the context id, so one
             pc reached through different call chains gets separate
             windows.
@@ -152,7 +153,7 @@ class TelemetryRecorder(NullRecorder):
 
     __slots__ = ("ring", "metrics", "_seq", "_dup_enter", "_last_tick",
                  "_marks", "wants_context", "contexts", "compactor",
-                 "dropped_events")
+                 "dropped_events", "_checks", "_samples")
 
     active = True
 
@@ -178,6 +179,10 @@ class TelemetryRecorder(NullRecorder):
         else:
             self.contexts = None
         self.dropped_events = 0
+        #: function -> its ``vm.checks.by_function`` and
+        #: ``vm.samples.by_function`` counters, looked up once each
+        self._checks: Dict[str, Counter] = {}
+        self._samples: Dict[str, Counter] = {}
         self.compactor = (
             StreamCompactor(self._store, context_key=self.wants_context)
             if suppress
@@ -209,13 +214,25 @@ class TelemetryRecorder(NullRecorder):
         self._emit(SAMPLE_FIRED, cycles, tid, function, pc, data)
         metrics = self.metrics
         metrics.counter("vm.samples").inc()
-        metrics.counter(
-            "vm.samples.by_function", {"function": function}
-        ).inc()
+        counter = self._samples.get(function)
+        if counter is None:
+            counter = self._samples[function] = metrics.counter(
+                "vm.samples.by_function", {"function": function}
+            )
+        counter.inc()
         if self._last_tick is not None:
             metrics.histogram("vm.check_to_sample_latency_cycles").observe(
                 cycles - self._last_tick
             )
+
+    def _context(self, frames) -> int:
+        """The context id of the innermost frame's path, interned at
+        the frame's first event and kept on the frame."""
+        top = frames[-1]
+        ctx = top.ctx
+        if ctx is None:
+            ctx = top.ctx = self.contexts.intern_frames(frames)
+        return ctx
 
     # -- VM hooks ----------------------------------------------------------
 
@@ -225,11 +242,14 @@ class TelemetryRecorder(NullRecorder):
         # reconciler compares against each function's certified bound;
         # every engine reports every executed CHECK through this hook,
         # so the labelled counter is engine-identical by construction.
-        self.metrics.counter(
-            "vm.checks.by_function", {"function": function}
-        ).inc()
+        counter = self._checks.get(function)
+        if counter is None:
+            counter = self._checks[function] = self.metrics.counter(
+                "vm.checks.by_function", {"function": function}
+            )
+        counter.inc()
         ctx = (
-            self.contexts.intern_frames(frames)
+            self._context(frames)
             if self.wants_context and frames is not None
             else None
         )
@@ -259,7 +279,7 @@ class TelemetryRecorder(NullRecorder):
 
     def guarded_fired(self, cycles, tid, function, pc, frames=None) -> None:
         ctx = (
-            self.contexts.intern_frames(frames)
+            self._context(frames)
             if self.wants_context and frames is not None
             else None
         )
@@ -269,7 +289,7 @@ class TelemetryRecorder(NullRecorder):
                  frames=None) -> None:
         data = (("pause_cycles", pause), ("alloc_count", allocs))
         if self.wants_context and frames is not None:
-            data += (("ctx", self.contexts.intern_frames(frames)),)
+            data += (("ctx", self._context(frames)),)
         self._emit(GC_PAUSE, cycles, tid, function, pc, data)
         self.metrics.counter("vm.gc_pauses").inc()
 

@@ -88,7 +88,10 @@ from repro.errors import BytecodeError, VerificationError
 from repro.vm.engine import (
     FastEngine,
     _VEntry,
+    _code,
+    _count_src,
     _plain_emitter,
+    _profile_src,
     _CMP_SYM,
     _CMP_NSYM,
     _BRANCHES,
@@ -126,12 +129,12 @@ _LEAF_ARMS = 4
 #: takes the sentinel path and the driver rebinds as before.
 _DIRECT_DEPTH = 150
 
-#: source text -> compiled code object.  Process-wide, like the fast
+#: source digest -> compiled code object.  Process-wide, like the fast
 #: engine's segment cache: sources embed only deterministic literals
 #: (pcs, costs, names), so every VM over the same program hits it.
-_REGION_CODE_CACHE: Dict[str, object] = {}
+_REGION_CODE_CACHE: Dict[bytes, object] = {}
 
-#: lowering key -> (src, extras_spec, entry_sorted), or None for a
+#: lowering key -> (code, extras_spec, entry_sorted), or None for a
 #: remembered bailout.  The key captures everything source generation
 #: reads: the function's name and code shape, per-call-site arities,
 #: and the engine's codegen flags (see ``CompiledEngine._lower_key``).
@@ -143,7 +146,7 @@ _REGION_CODE_CACHE: Dict[str, object] = {}
 #: ``("arg", pc)``, ``("class", name)``, ``("cell",)``, ``("self",)``
 #: — and rebound to live objects per engine by
 #: ``FastEngine._namespace``.
-_LOWER_CACHE: Dict[tuple, Optional[Tuple[str, Dict[str, tuple], List[int]]]] = {}
+_LOWER_CACHE: Dict[tuple, Optional[Tuple[object, Dict[str, tuple], List[int]]]] = {}
 
 #: Every op the lowerer can express.  This is the full current ISA; the
 #: set exists so future opcodes degrade to fast-engine fallback instead
@@ -181,10 +184,10 @@ _LEAF_SAFE = frozenset(
     }
 )
 
-#: leaf lowering key -> (src, extras_spec), or None for a remembered
+#: leaf lowering key -> (code, extras_spec), or None for a remembered
 #: bailout.  Same contract as ``_LOWER_CACHE``: the key (see
 #: ``CompiledEngine._leaf_key``) covers everything leaf codegen reads.
-_LEAF_CACHE: Dict[tuple, Optional[Tuple[str, Dict[str, tuple]]]] = {}
+_LEAF_CACHE: Dict[tuple, Optional[Tuple[object, Dict[str, tuple]]]] = {}
 
 _I4 = "    "
 
@@ -467,8 +470,9 @@ class _Lowerer:
 
     def _head(self, ind: str, s: int) -> List[str]:
         """The per-segment observer/accounting block, in the fast
-        engine's wrapper order: profiler boundary (outermost), opcode
-        counts, then fuel check / charge / tick check."""
+        engine's order: profiler boundary, opcode counts, then fuel
+        check / charge / tick check.  CHECK and GUARDED_INSTR count
+        their profiler boundary after the op instead."""
         out: List[str] = []
         ops = self.ops
         op0 = ops[s]
@@ -479,16 +483,9 @@ class _Lowerer:
                 comp = "poll"
             else:
                 comp = "compiled"
-            out.append(
-                ind + f"_pb({comp!r}, {self.fn_name!r}, {s}, {op0},"
-                " _fs, _eng.thread.tid)"
-            )
+            out += self._profile(ind, comp, s)
         if self.oc_on:
-            counts: Dict[int, int] = {}
-            for p in range(s, self.seg_end[s]):
-                counts[ops[p]] = counts.get(ops[p], 0) + 1
-            for o, k in sorted(counts.items()):
-                out.append(ind + f"_oc[{o}] = _oc.get({o}, 0) + {k}")
+            out += [ind + ln for ln in _count_src(ops, s, self.seg_end[s])]
         SL, SC = self.seg_info[s]
         out.append(ind + f"if _ni >= {self.fuel}:")
         out += self._sync(ind + _I4)
@@ -506,6 +503,15 @@ class _Lowerer:
         out.append(ind + _I4 + "_eng._ticks()")
         out.append(ind + _I4 + "_nt = _eng.next_tick")
         return out
+
+    def _profile(self, ind: str, component: str, pc: int) -> List[str]:
+        """One profiler boundary at *pc*: the inline countdown."""
+        return [
+            ind + ln
+            for ln in _profile_src(
+                component, self.fn_name, pc, self.ops[pc], "_fs"
+            )
+        ]
 
     def _raise_lines(
         self, ind: str, vstack: List[_VEntry], raise_line: str
@@ -695,11 +701,8 @@ class _Lowerer:
                     SC0 = sum(lcost[lops[q]] for q in range(cs, ce))
                     SL0 = ce - cs
                     if self.oc_on:
-                        counts: Dict[int, int] = {}
-                        for q in range(cs, ce):
-                            counts[lops[q]] = counts.get(lops[q], 0) + 1
-                        for o, k in sorted(counts.items()):
-                            E(f"_oc[{o}] = _oc.get({o}, 0) + {k}")
+                        for ln in _count_src(lops, cs, ce):
+                            E(ln)
                     fuel_msg = (
                         f"instruction budget of {self.fuel}"
                         f" exhausted in {cname}@0"
@@ -832,6 +835,8 @@ class _Lowerer:
                         E(f"_nf.locals = {loc}")
                         E("_nf.stack = []")
                         E("_nf.handlers = []")
+                        if self.ctx_on:
+                            E("_nf.ctx = None")
                     else:  # pragma: no cover - verifier rejects this
                         E(f"_nf = _Frame({callee_ref}, {arglist})")
                     E("_fs.append(_nf)")
@@ -896,10 +901,10 @@ class _Lowerer:
                         f" {fn_name!r}, {p}, True, {arg}{ctx_arg})"
                     )
                 if prof_on:
-                    E(
-                        f"    _pcb(True, {fn_name!r}, {p},"
-                        " _fs, _eng.thread.tid)"
-                    )
+                    # Every CHECK ends a resident span in duplicated
+                    # code; a fired one begins one.
+                    E("    _pdup.add(_eng.thread.tid)")
+                    out.extend(self._profile(ind + _I4, "trampoline", p))
                 transfer(arg, [], ind + _I4)
                 if rec_on:
                     E(
@@ -908,10 +913,9 @@ class _Lowerer:
                         + (", None, _fs)" if self.ctx_on else ")")
                     )
                 if prof_on:
-                    E(
-                        f"_pcb(False, {fn_name!r}, {p},"
-                        " _fs, _eng.thread.tid)"
-                    )
+                    E("if _pdup:")
+                    E("    _pdup.discard(_eng.thread.tid)")
+                    out.extend(self._profile(ind, "check", p))
             elif op == _GUARDED_INSTR:
                 act = f"_ac{p}"
                 self.extras[act] = ("arg", p)
@@ -939,15 +943,9 @@ class _Lowerer:
                 E(f"    {act}.execute(_vm, _fr)")
                 out.extend(self._reload(ind + _I4, len(vstack)))
                 if prof_on:
-                    E(
-                        f"    _pgb(True, {fn_name!r}, {p},"
-                        " _fs, _eng.thread.tid)"
-                    )
+                    out.extend(self._profile(ind + _I4, "payload", p))
                     E("else:")
-                    E(
-                        f"    _pgb(False, {fn_name!r}, {p},"
-                        " _fs, _eng.thread.tid)"
-                    )
+                    out.extend(self._profile(ind + _I4, "check", p))
             elif op == _INSTR:
                 act = f"_ac{p}"
                 self.extras[act] = ("arg", p)
@@ -1333,9 +1331,11 @@ class CompiledEngine(FastEngine):
     """
 
     def __init__(self, vm):
-        #: regions / fallbacks / cache_hits / invalidations for this
-        #: run; mirrored into the telemetry metrics registry (when one
-        #: is attached) as ``vm.compiled.*`` counters.
+        #: regions / fallbacks / cache_hits / invalidations / leafs for
+        #: this run.  All but cache_hits are mirrored into the telemetry
+        #: metrics registry (when one is attached) as ``vm.compiled.*``
+        #: counters; a cache hit depends on the process's history, not
+        #: on the run.
         self.compile_counts: Dict[str, int] = {
             "regions": 0,
             "fallbacks": 0,
@@ -1402,19 +1402,19 @@ class CompiledEngine(FastEngine):
     def _leaf_key(self, fn: Function) -> tuple:
         return ("leaf",) + self._lower_key(fn)
 
-    def _leaf_lowering(self, fn: Function) -> Optional[Tuple[str, Dict[str, tuple]]]:
-        """The cached ``(src, extras_spec)`` for *fn*'s outlined leaf
+    def _leaf_lowering(self, fn: Function) -> Optional[Tuple[object, Dict[str, tuple]]]:
+        """The cached ``(code, extras_spec)`` for *fn*'s outlined leaf
         helper, or None if leaf lowering bails (callers then emit the
         ordinary framed call for that site)."""
         key = self._leaf_key(fn)
         if key in _LEAF_CACHE:
             return _LEAF_CACHE[key]
         try:
-            lowered: Optional[Tuple[str, Dict[str, tuple]]] = _LeafLowerer(
-                self, fn
-            ).lower_leaf()
+            src, spec = _LeafLowerer(self, fn).lower_leaf()
         except _Bailout:
             lowered = None
+        else:
+            lowered = (_code(src, "<leaf>", _REGION_CODE_CACHE), spec)
         _LEAF_CACHE[key] = lowered
         return lowered
 
@@ -1426,11 +1426,7 @@ class CompiledEngine(FastEngine):
         cached = self._leaf_fns.get(fn)
         if cached is not None:
             return cached
-        src, spec = self._leaf_lowering(fn)
-        co = _REGION_CODE_CACHE.get(src)
-        if co is None:
-            co = compile(src, "<leaf>", "exec")
-            _REGION_CODE_CACHE[src] = co
+        co, spec = self._leaf_lowering(fn)
         ns = self._namespace(fn, spec)
         exec(co, ns)
         leaf = ns["_lf"]
@@ -1551,20 +1547,18 @@ class CompiledEngine(FastEngine):
             cached = _LOWER_CACHE[key]
             if cached is None:
                 raise _Bailout(f"{fn.name}: remembered bailout")
-            src, spec, entry_sorted = cached
+            co, spec, entry_sorted = cached
+            # A hit depends on what the process lowered before, so it
+            # stays out of the run's metrics (and its manifest).
             self.compile_counts["cache_hits"] += 1
-            self._note_metric("cache_hits", fn.name)
         else:
             try:
                 src, spec, entry_sorted = _Lowerer(self, fn).lower()
             except _Bailout:
                 _LOWER_CACHE[key] = None
                 raise
-            _LOWER_CACHE[key] = (src, spec, entry_sorted)
-        co = _REGION_CODE_CACHE.get(src)
-        if co is None:
-            co = compile(src, "<region>", "exec")
-            _REGION_CODE_CACHE[src] = co
+            co = _code(src, "<region>", _REGION_CODE_CACHE)
+            _LOWER_CACHE[key] = (co, spec, entry_sorted)
         ns = self._namespace(fn, spec)
         exec(co, ns)
         handlers: List[Callable] = [ns["_r"]]

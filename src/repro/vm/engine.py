@@ -55,6 +55,7 @@ functions into single generated Python regions.  See docs/VM_PERF.md.
 from __future__ import annotations
 
 import os
+from hashlib import blake2b
 from typing import Callable, Dict, List, Optional
 
 from repro.bytecode.function import Function
@@ -195,17 +196,54 @@ _YIELD = -5    # thread yielded to the scheduler
 # pops.  The generated function charges the segment's static cost in its
 # prologue and ends in the terminator's control transfer, so the
 # accounting model — and therefore every observable stat — matches the
-# reference.  Compiled code objects are cached process-wide by source
-# text: re-running a workload recompiles nothing.
+# reference.  Compiled code objects are cached process-wide by a digest
+# of their source: re-running a workload recompiles nothing.
 
 _CMP_SYM = {_LT: "<", _LE: "<=", _GT: ">", _GE: ">=", _EQ: "==", _NE: "!="}
 _CMP_NSYM = {_LT: ">=", _LE: ">", _GT: "<=", _GE: "<", _EQ: "!=", _NE: "=="}
 _ARITH_SYM = {_ADD: "+", _SUB: "-", _MUL: "*", _AND: "&", _OR: "|",
               _XOR: "^"}
 
-#: source text -> compiled code object (process-wide; sources embed only
-#: per-program literals, so repeated VM construction hits this cache).
-_CODE_CACHE: Dict[str, object] = {}
+#: source digest -> compiled code object (process-wide; sources embed
+#: only per-program literals, so repeated VM construction hits this
+#: cache).
+_CODE_CACHE: Dict[bytes, object] = {}
+
+
+def _code(src: str, filename: str, cache: Dict[bytes, object]):
+    """The code object of *src*, compiled at most once per process.
+    *cache* is keyed by a 16-byte digest of the source, so no source
+    text outlives its compilation."""
+    key = blake2b(src.encode(), digest_size=16).digest()
+    co = cache.get(key)
+    if co is None:
+        co = cache[key] = compile(src, filename, "exec")
+    return co
+
+
+def _profile_src(component, fn_name, pc, op, frames):
+    """Source lines of one profiler boundary, shared by fast-tier
+    segments and compiled-tier regions: the paper's compiled-in check
+    (decrement the counter, compare, branch), with the sample itself
+    out of line in ``OverheadProfiler.sample``.  *frames* is the
+    expression of the live frame list."""
+    return [
+        "_prof.countdown -= 1",
+        "if _prof.countdown <= 0:",
+        f"    _prof.sample({component!r}, {fn_name!r}, {pc}, {op},"
+        f" {frames}, _eng.thread.tid)",
+    ]
+
+
+def _count_src(ops, s, e):
+    """Source lines bumping the opcode counts of segment ``[s, e)``
+    once, so fused code still reports exact per-opcode counts."""
+    counts: Dict[int, int] = {}
+    for p in range(s, e):
+        counts[ops[p]] = counts.get(ops[p], 0) + 1
+    return [
+        f"_oc[{o}] = _oc.get({o}, 0) + {k}" for o, k in sorted(counts.items())
+    ]
 
 
 class _VEntry:
@@ -750,9 +788,8 @@ class FastEngine:
             ns["_oc"] = vm.stats.opcode_counts
         prof = vm.profiler
         if prof is not None and prof.enabled:
-            ns["_pb"] = prof.boundary
-            ns["_pcb"] = prof.check_boundary
-            ns["_pgb"] = prof.guarded_boundary
+            ns["_prof"] = prof
+            ns["_pdup"] = prof.dup
         program = vm.program
         code = fn.code
         for name, s in spec.items():
@@ -792,10 +829,20 @@ class FastEngine:
         gc_pause = vm.cost_model.gc_pause_cycles
         io_base = vm.cost_model.io_base_cost
         fn_name = fn.name
-        # Telemetry is a compile-time decision: with no recorder the
-        # closures below are built without a single telemetry branch, so
-        # the null path costs nothing (docs/OBSERVABILITY.md).
+        # Observers are a compile-time decision: with no recorder, no
+        # enabled profiler and no opcode counts, the closures below are
+        # built without a single hook branch and the generated segments
+        # without a hook line, so the null path costs nothing
+        # (docs/OBSERVABILITY.md).  An enabled profiler's counter check
+        # is written into every handler itself (docs/PROFILING.md): a
+        # boundary costs a decrement and a compare, and only a sample
+        # makes a call.
         rec = vm.recorder
+        prof = vm.profiler
+        if prof is not None and not prof.enabled:
+            prof = None
+        dup = prof.dup if prof is not None else None
+        oc = stats.opcode_counts
         dynamic = self._dynamic
 
         code = fn.code
@@ -807,9 +854,37 @@ class FastEngine:
         head_index = {s: i for i, (s, _e) in enumerate(segments)}
         self._heads[fn] = head_index
 
-        def wrap_head(body, SC, PC):
-            """Prepend segment accounting to a cold breaker body."""
+        def wrap_head(body, SC, PC, comp):
+            """Prepend segment accounting to a cold breaker body.
+
+            With a profiler the boundary of component *comp* is counted
+            first (*comp* None: the body counts its own, after the
+            fact); with opcode counting the breaker's op is counted.
+            """
+            if prof is None and oc is None:
+                def h(stack, locals_):
+                    ni = stats.instructions
+                    if ni >= fuel:
+                        eng._fuel_trap(PC)
+                    stats.instructions = ni + 1
+                    c = stats.cycles + SC
+                    stats.cycles = c
+                    if c >= eng.next_tick:
+                        eng._ticks()
+                    return body(stack, locals_)
+                return h
+            OP = ops[PC]
+            if prof is None:
+                comp = None
             def h(stack, locals_):
+                if comp is not None:
+                    prof.countdown -= 1
+                    if prof.countdown <= 0:
+                        prof.sample(
+                            comp, fn_name, PC, OP, eng.frames, eng.thread.tid
+                        )
+                if oc is not None:
+                    oc[OP] = oc.get(OP, 0) + 1
                 ni = stats.instructions
                 if ni >= fuel:
                     eng._fuel_trap(PC)
@@ -825,7 +900,8 @@ class FastEngine:
             """Build the closure for one breaker, alone in its segment.
 
             The hot ones (YIELDPOINT, CHECK) inline the segment
-            accounting; the cold ones build a body for ``wrap_head``.
+            accounting and their observer hooks; the cold ones build a
+            body for ``wrap_head``.
             """
             op = ops[pc_]
             arg = code[pc_].arg
@@ -833,7 +909,38 @@ class FastEngine:
 
             # --- hot breakers: segment accounting inlined ----------------
             if op == _YIELDPOINT:
+                if prof is None and oc is None:
+                    def h(stack, locals_):
+                        ni = stats.instructions
+                        if ni >= fuel:
+                            eng._fuel_trap(pc_)
+                        stats.instructions = ni + 1
+                        c = stats.cycles + SC
+                        stats.cycles = c
+                        if c >= eng.next_tick:
+                            eng._ticks()
+                        stats.yieldpoints_executed += 1
+                        if vm._threadswitch_bit:
+                            vm._threadswitch_bit = False
+                            th = eng.thread
+                            for t in vm.threads:
+                                if t is not th and not t.done:
+                                    fr = eng.frames[-1]
+                                    fr.pc = PCP1
+                                    fr.fast_pc = NXT
+                                    return _YIELD
+                        return NXT
+                    return h
                 def h(stack, locals_):
+                    if prof is not None:
+                        prof.countdown -= 1
+                        if prof.countdown <= 0:
+                            prof.sample(
+                                "poll", fn_name, pc_, _YIELDPOINT,
+                                eng.frames, eng.thread.tid,
+                            )
+                    if oc is not None:
+                        oc[_YIELDPOINT] = oc.get(_YIELDPOINT, 0) + 1
                     ni = stats.instructions
                     if ni >= fuel:
                         eng._fuel_trap(pc_)
@@ -856,8 +963,7 @@ class FastEngine:
                 return h
             if op == _CHECK:
                 T = head_index[arg]
-                if rec is not None:
-                    target = arg
+                if rec is None and prof is None and oc is None:
                     def h(stack, locals_):
                         ni = stats.instructions
                         if ni >= fuel:
@@ -870,20 +976,18 @@ class FastEngine:
                         stats.checks_executed += 1
                         if poll():
                             stats.checks_taken += 1
-                            c = stats.cycles + penalty
-                            stats.cycles = c
-                            rec.check(
-                                c, eng.thread.tid, fn_name, pc_,
-                                True, target, eng.frames,
-                            )
+                            stats.cycles += penalty
                             return T
-                        rec.check(
-                            stats.cycles, eng.thread.tid, fn_name, pc_,
-                            False, None, eng.frames,
-                        )
                         return NXT
                     return h
+                # The recorder hears every executed CHECK; the profiler
+                # counts the boundary after it, once residency in
+                # duplicated code is settled: every CHECK ends a
+                # resident span and a fired one begins one.
+                target = arg
                 def h(stack, locals_):
+                    if oc is not None:
+                        oc[_CHECK] = oc.get(_CHECK, 0) + 1
                     ni = stats.instructions
                     if ni >= fuel:
                         eng._fuel_trap(pc_)
@@ -895,30 +999,45 @@ class FastEngine:
                     stats.checks_executed += 1
                     if poll():
                         stats.checks_taken += 1
-                        stats.cycles += penalty
+                        c = stats.cycles + penalty
+                        stats.cycles = c
+                        if rec is not None:
+                            rec.check(
+                                c, eng.thread.tid, fn_name, pc_,
+                                True, target, eng.frames,
+                            )
+                        if prof is not None:
+                            dup.add(eng.thread.tid)
+                            prof.countdown -= 1
+                            if prof.countdown <= 0:
+                                prof.sample(
+                                    "trampoline", fn_name, pc_, _CHECK,
+                                    eng.frames, eng.thread.tid,
+                                )
                         return T
+                    if rec is not None:
+                        rec.check(
+                            stats.cycles, eng.thread.tid, fn_name, pc_,
+                            False, None, eng.frames,
+                        )
+                    if prof is not None:
+                        if dup:
+                            dup.discard(eng.thread.tid)
+                        prof.countdown -= 1
+                        if prof.countdown <= 0:
+                            prof.sample(
+                                "check", fn_name, pc_, _CHECK,
+                                eng.frames, eng.thread.tid,
+                            )
                     return NXT
                 return h
 
             # --- cold breakers: body + wrap_head -------------------------
+            comp = "dispatch"
             if op == _GUARDED_INSTR:
                 action = arg
-                if rec is not None:
-                    def body(stack, locals_):
-                        stats.guarded_checks_executed += 1
-                        if poll():
-                            stats.guarded_checks_taken += 1
-                            c = stats.cycles + action.cost
-                            stats.cycles = c
-                            stats.instr_ops_executed += 1
-                            rec.guarded_fired(
-                                c, eng.thread.tid, fn_name, pc_, eng.frames
-                            )
-                            fr = eng.frames[-1]
-                            fr.pc = PCP1
-                            action.execute(vm, fr)
-                        return NXT
-                else:
+                comp = None
+                if rec is None and prof is None:
                     def body(stack, locals_):
                         stats.guarded_checks_executed += 1
                         if poll():
@@ -929,8 +1048,36 @@ class FastEngine:
                             fr.pc = PCP1
                             action.execute(vm, fr)
                         return NXT
+                else:
+                    def body(stack, locals_):
+                        stats.guarded_checks_executed += 1
+                        if poll():
+                            stats.guarded_checks_taken += 1
+                            c = stats.cycles + action.cost
+                            stats.cycles = c
+                            stats.instr_ops_executed += 1
+                            if rec is not None:
+                                rec.guarded_fired(
+                                    c, eng.thread.tid, fn_name, pc_,
+                                    eng.frames,
+                                )
+                            fr = eng.frames[-1]
+                            fr.pc = PCP1
+                            action.execute(vm, fr)
+                            component = "payload"
+                        else:
+                            component = "check"
+                        if prof is not None:
+                            prof.countdown -= 1
+                            if prof.countdown <= 0:
+                                prof.sample(
+                                    component, fn_name, pc_, _GUARDED_INSTR,
+                                    eng.frames, eng.thread.tid,
+                                )
+                        return NXT
             elif op == _INSTR:
                 action = arg
+                comp = "payload"
                 def body(stack, locals_):
                     stats.cycles += action.cost
                     stats.instr_ops_executed += 1
@@ -1103,11 +1250,12 @@ class FastEngine:
                     eng._code_for(current)
                     fr.fast_pc = eng._heads[current][landing]
                     return _REBIND
-            return wrap_head(body, SC, pc_)
+            return wrap_head(body, SC, pc_, comp)
 
         # Plain segments are generated first (each registers the extras
         # specs its source names) and then run in one namespace per
-        # function: ``_c{pc}`` and ``_fn{pc}`` are unique per pc.
+        # function: ``_c{pc}`` and ``_fn{pc}`` are unique per pc.  The
+        # observer hooks open the source, ahead of the accounting.
         handlers: List[Callable] = []
         generated = []
         spec: Dict[str, tuple] = {}
@@ -1122,9 +1270,17 @@ class FastEngine:
                 code, ops, s, e, head_index, i + 1, fn_name, functions,
                 dynamic, spec,
             )
+            hooks: List[str] = []
+            if prof is not None:
+                hooks += _profile_src(
+                    "dispatch", fn_name, s, ops[s], "_eng.frames"
+                )
+            if oc is not None:
+                hooks += _count_src(ops, s, e)
             src = (
                 "def _h(stack, locals_):\n"
-                "    ni = _stats.instructions\n"
+                + "".join(f"    {line}\n" for line in hooks)
+                + "    ni = _stats.instructions\n"
                 "    if ni >= _fuel:\n"
                 f"        _eng._fuel_trap({s})\n"
                 f"    _stats.instructions = ni + {e - s}\n"
@@ -1133,100 +1289,10 @@ class FastEngine:
                 "    if _cy >= _eng.next_tick:\n"
                 "        _eng._ticks()\n" + body + "\n"
             )
-            co = _CODE_CACHE.get(src)
-            if co is None:
-                co = compile(src, "<segment>", "exec")
-                _CODE_CACHE[src] = co
-            generated.append((i, co))
+            generated.append((i, _code(src, "<segment>", _CODE_CACHE)))
             handlers.append(None)
         ns = self._namespace(fn, spec)
         for i, co in generated:
             exec(co, ns)
             handlers[i] = ns["_h"]
-
-        # Opcode counting (calibration tooling): bump each segment's
-        # constituent-opcode multiset once at the segment head, so fused
-        # superinstructions still report exact per-opcode counts.
-        oc = stats.opcode_counts
-        if oc is not None:
-            def wrap_counts(inner, items):
-                def h(stack, locals_):
-                    for o, k in items:
-                        oc[o] = oc.get(o, 0) + k
-                    return inner(stack, locals_)
-                return h
-
-            for (s, e) in segments:
-                counts: Dict[int, int] = {}
-                for p in range(s, e):
-                    counts[ops[p]] = counts.get(ops[p], 0) + 1
-                head = head_index[s]
-                handlers[head] = wrap_counts(
-                    handlers[head], tuple(counts.items())
-                )
-
-        # VM self-profiling (repro.profiling): like telemetry, a
-        # compile-time decision — with no enabled profiler attached not
-        # a single profiling branch is compiled.  With one, every
-        # segment head is wrapped so the profiler polls its counter
-        # exactly once per observer boundary, classified by the
-        # segment's breaker op.  CHECK/GUARDED firing is detected from
-        # the stats deltas the inner handler produced, so the wrappers
-        # never re-poll the VM's own sampling trigger.
-        prof = vm.profiler
-        if prof is not None and prof.enabled:
-            p_boundary = prof.boundary
-            p_check = prof.check_boundary
-            p_guarded = prof.guarded_boundary
-
-            def wrap_plain(inner, comp, PC, OP):
-                def h(stack, locals_):
-                    p_boundary(
-                        comp, fn_name, PC, OP, eng.frames, eng.thread.tid
-                    )
-                    return inner(stack, locals_)
-                return h
-
-            def wrap_check(inner, PC):
-                def h(stack, locals_):
-                    taken = stats.checks_taken
-                    nxt = inner(stack, locals_)
-                    p_check(
-                        stats.checks_taken != taken, fn_name, PC,
-                        eng.frames, eng.thread.tid,
-                    )
-                    return nxt
-                return h
-
-            def wrap_guarded(inner, PC):
-                def h(stack, locals_):
-                    taken = stats.guarded_checks_taken
-                    nxt = inner(stack, locals_)
-                    p_guarded(
-                        stats.guarded_checks_taken != taken, fn_name, PC,
-                        eng.frames, eng.thread.tid,
-                    )
-                    return nxt
-                return h
-
-            for (s, e) in segments:
-                head = head_index[s]
-                op0 = ops[s]
-                if op0 == _CHECK:
-                    handlers[head] = wrap_check(handlers[head], s)
-                elif op0 == _GUARDED_INSTR:
-                    handlers[head] = wrap_guarded(handlers[head], s)
-                elif op0 == _INSTR:
-                    handlers[head] = wrap_plain(
-                        handlers[head], "payload", s, op0
-                    )
-                elif op0 == _YIELDPOINT:
-                    handlers[head] = wrap_plain(
-                        handlers[head], "poll", s, op0
-                    )
-                else:
-                    handlers[head] = wrap_plain(
-                        handlers[head], "dispatch", s, op0
-                    )
-
         return handlers

@@ -23,9 +23,16 @@ class Frame:
     THROW unwinds to the innermost record (or to the caller when the
     list is empty). Both engines share this representation, so unwinds
     are bit-identical.
+
+    ``ctx`` caches the calling-context id that a context-tracking
+    telemetry recorder interned for this frame's root→leaf path (None
+    until the frame's first event). A frame's path never changes while
+    it lives, so each frame is interned once, not once per event.
     """
 
-    __slots__ = ("function", "pc", "locals", "stack", "fast_pc", "handlers")
+    __slots__ = (
+        "function", "pc", "locals", "stack", "fast_pc", "handlers", "ctx",
+    )
 
     def __init__(self, function: Function, args: List[Value]):
         self.function = function
@@ -36,6 +43,7 @@ class Frame:
         )
         self.stack: List[Value] = []
         self.handlers: List[tuple] = []
+        self.ctx: Optional[int] = None
 
     def __repr__(self) -> str:
         return f"<Frame {self.function.name}@{self.pc}>"

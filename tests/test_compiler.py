@@ -86,6 +86,25 @@ class TestRegionCompilation:
         ]
         assert len(per_fn) == len(program.functions)
 
+    def test_run_metrics_do_not_depend_on_earlier_runs(self):
+        """The second VM over a program hits the process-wide lowering
+        cache for every function. That is counted in compile_counts
+        only, so both runs record the same metrics."""
+        program = get_workload("compress").compile(1)
+        snapshots = []
+        for _ in range(2):
+            recorder = TelemetryRecorder()
+            VM(program, engine="compiled", recorder=recorder).run()
+            snapshots.append(recorder.metrics.snapshot())
+        assert snapshots[0] == snapshots[1]
+        assert not any(
+            key.startswith("vm.compiled.cache_hits") for key in snapshots[1]
+        )
+        eng = CompiledEngine(
+            VM(program, engine="compiled", recorder=TelemetryRecorder())
+        )
+        assert eng.compile_counts["cache_hits"] == len(program.functions)
+
 
 class TestInvalidation:
     def test_replacefn_recompiles_replacement(self):
