@@ -355,10 +355,10 @@ class VM:
         # predictable branch per instruction when disabled, classified
         # boundary reports when enabled (repro.profiling). Hooks only
         # *read* VM state, so stats/events stay bit-identical either
-        # way. Boundary granularity is engine-specific by design — this
-        # ladder reports every instruction, the fast engine one boundary
-        # per fused segment — so profiler sample counts are comparable
-        # only within one engine.
+        # way. This ladder reports every instruction, while the fast and
+        # compiled engines report one boundary per segment (and agree
+        # with each other), so this ladder's profiler sample counts
+        # compare only with its own.
         prof = self.profiler
         if prof is not None and not prof.enabled:
             prof = None
