@@ -62,11 +62,13 @@ class ContextTracker:
     leans on.
     """
 
-    __slots__ = ("_ids", "_paths")
+    __slots__ = ("_ids", "_paths", "_children")
 
     def __init__(self) -> None:
         self._ids: Dict[Tuple[str, ...], int] = {}
         self._paths: List[Tuple[str, ...]] = []
+        #: (caller id, callee name) -> id: a call edge already interned
+        self._children: Dict[Tuple[int, str], int] = {}
 
     def __len__(self) -> int:
         return len(self._paths)
@@ -82,7 +84,22 @@ class ContextTracker:
         return ctx
 
     def intern_frames(self, frames) -> int:
-        """Intern the path named by a live frame stack (root→leaf)."""
+        """Intern the path named by a live frame stack (root→leaf).
+
+        When the caller frame already holds its id (``Frame.ctx``), the
+        leaf is interned from that id and the callee's name, without
+        rebuilding the path; ids are the same either way, because the
+        path is interned exactly when it would have been."""
+        if len(frames) > 1:
+            caller = frames[-2].ctx
+            if caller is not None:
+                edge = (caller, frames[-1].function.name)
+                ctx = self._children.get(edge)
+                if ctx is None:
+                    ctx = self._children[edge] = self.intern(
+                        self._paths[caller] + edge[1:]
+                    )
+                return ctx
         return self.intern([f.function.name for f in frames])
 
     def path_of(self, ctx: int) -> Tuple[str, ...]:

@@ -129,9 +129,10 @@ _LEAF_ARMS = 4
 #: takes the sentinel path and the driver rebinds as before.
 _DIRECT_DEPTH = 150
 
-#: source digest -> compiled code object.  Process-wide, like the fast
-#: engine's segment cache: sources embed only deterministic literals
-#: (pcs, costs, names), so every VM over the same program hits it.
+#: source digest -> compiled code object, process-wide.  Unlike the fast
+#: tier's position-independent segment templates, region sources spell
+#: their pcs, costs and names as literals; those are deterministic, so
+#: every VM over the same program hits this cache.
 _REGION_CODE_CACHE: Dict[bytes, object] = {}
 
 #: lowering key -> (code, extras_spec, entry_sorted), or None for a
@@ -1374,6 +1375,10 @@ class CompiledEngine(FastEngine):
         self._region_fns.add(fn)
         self._note_metric("regions", name)
         return handlers
+
+    def release(self) -> None:
+        super().release()
+        self._leaf_fns.clear()
 
     def _direct_entry(self, fn: Function):
         """The callee's slot-0 region handler for the direct-call fast

@@ -54,8 +54,10 @@ functions into single generated Python regions.  See docs/VM_PERF.md.
 
 from __future__ import annotations
 
+import builtins
 import os
 from hashlib import blake2b
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional
 
 from repro.bytecode.function import Function
@@ -196,36 +198,113 @@ _YIELD = -5    # thread yielded to the scheduler
 # pops.  The generated function charges the segment's static cost in its
 # prologue and ends in the terminator's control transfer, so the
 # accounting model — and therefore every observable stat — matches the
-# reference.  Compiled code objects are cached process-wide by a digest
-# of their source: re-running a workload recompiles nothing.
+# reference.
+#
+# A segment's source is position-independent: every value that depends
+# on where the segment sits (pcs, handler slots, costs, per-pc globals)
+# is a placeholder (see ``_Lift``).  Each distinct source is compiled
+# once per process into a *template*; each segment is an instance of its
+# template with the placeholders replaced in ``co_consts``/``co_names``,
+# so positional values stay ``LOAD_CONST`` operands.  Instances belong to
+# their engine's handler lists and die with it.
 
 _CMP_SYM = {_LT: "<", _LE: "<=", _GT: ">", _GE: ">=", _EQ: "==", _NE: "!="}
 _CMP_NSYM = {_LT: ">=", _LE: ">", _GT: "<=", _GE: "<", _EQ: "!=", _NE: "=="}
 _ARITH_SYM = {_ADD: "+", _SUB: "-", _MUL: "*", _AND: "&", _OR: "|",
               _XOR: "^"}
 
-#: source digest -> compiled code object (process-wide; sources embed
-#: only per-program literals, so repeated VM construction hits this
-#: cache).
-_CODE_CACHE: Dict[bytes, object] = {}
+#: Guest constants of exactly these types are spelled as literals in a
+#: segment; any other PUSH operand is bound by name.  Constant folding
+#: over them never yields a complex number, so the complex constants of
+#: a segment template are exactly its placeholders.
+_LITERAL_TYPES = frozenset({int, bool, str})
+
+#: source digest -> ``(code, const slots, name slots)`` segment template
+#: (process-wide: every segment of one shape, in any function of any
+#: program, is an instance of one template).
+_CODE_CACHE: Dict[bytes, tuple] = {}
+
+
+def _digest(src: str) -> bytes:
+    """The 16-byte cache key of a generated source: no source text
+    outlives its compilation."""
+    return blake2b(src.encode(), digest_size=16).digest()
 
 
 def _code(src: str, filename: str, cache: Dict[bytes, object]):
-    """The code object of *src*, compiled at most once per process.
-    *cache* is keyed by a 16-byte digest of the source, so no source
-    text outlives its compilation."""
-    key = blake2b(src.encode(), digest_size=16).digest()
+    """The code object of *src*, compiled at most once per process and
+    cached in *cache* under its digest (compiled-tier regions and
+    leaves, whose sources spell their positions literally)."""
+    key = _digest(src)
     co = cache.get(key)
     if co is None:
         co = cache[key] = compile(src, filename, "exec")
     return co
 
 
+class _Lift:
+    """The positional values of one fast-tier segment, lifted out of its
+    source.  ``const`` spells the k-th value as the placeholder ``{k}j``
+    (no other complex constant can reach a segment, see
+    ``_LITERAL_TYPES``); ``name`` spells the per-pc global
+    ``{prefix}{pc}`` as the template name ``{prefix}_{k}``."""
+
+    __slots__ = ("consts", "names")
+
+    def __init__(self):
+        self.consts: List[object] = []
+        #: template name -> the per-pc global it stands for
+        self.names: Dict[str, str] = {}
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"{len(self.consts)}j"
+
+    def name(self, prefix: str, pc: int) -> str:
+        tname = f"{prefix}_{len(self.names)}"
+        self.names[tname] = f"{prefix}{pc}"
+        return tname
+
+    def instance(self, src: str) -> CodeType:
+        """The code of the segment whose source is *src*: its template,
+        compiled at most once per process, with the lifted values in
+        place of the placeholders."""
+        key = _digest(src)
+        entry = _CODE_CACHE.get(key)
+        if entry is None:
+            module = compile(src, "<segment>", "exec")
+            co = next(c for c in module.co_consts if type(c) is CodeType)
+            consts = []
+            for i, c in enumerate(co.co_consts):
+                if type(c) is complex:
+                    k = int(c.imag)
+                    if c != complex(0, k) or not 1 <= k <= len(self.consts):
+                        raise AssertionError(
+                            f"segment constant {c!r} is not a placeholder"
+                        )
+                    consts.append((i, k - 1))
+            names = tuple(
+                (i, n) for i, n in enumerate(co.co_names) if n in self.names
+            )
+            entry = _CODE_CACHE[key] = (co, tuple(consts), names)
+        co, const_slots, name_slots = entry
+        consts = list(co.co_consts)
+        for i, k in const_slots:
+            consts[i] = self.consts[k]
+        if not name_slots:
+            return co.replace(co_consts=tuple(consts))
+        names = list(co.co_names)
+        for i, tname in name_slots:
+            names[i] = self.names[tname]
+        return co.replace(co_consts=tuple(consts), co_names=tuple(names))
+
+
 def _profile_src(component, fn_name, pc, op, frames):
     """Source lines of one profiler boundary, shared by fast-tier
     segments and compiled-tier regions: the paper's compiled-in check
     (decrement the counter, compare, branch), with the sample itself
-    out of line in ``OverheadProfiler.sample``.  *frames* is the
+    out of line in ``OverheadProfiler.sample``.  *pc* and *op* are
+    spelled by the caller (a segment lifts them); *frames* is the
     expression of the live frame list."""
     return [
         "_prof.countdown -= 1",
@@ -263,21 +342,32 @@ class _VEntry:
 
 
 def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
-                   invalidate, newtmp, emit, trap):
+                   invalidate, newtmp, emit, trap, lift=None):
     """Return ``plain(op, arg, p) -> bool``: the stack-simulating
     spelling of every plain op, shared by fast-tier segments and
     compiled-tier regions and leaves.
 
     The caller owns the compile-time stack (``vstack`` and its
     ``vpop``/``atomize``/``invalidate``/``newtmp`` helpers) and the
-    output (``emit(line)``).  The two tier-specific parts are passed
-    in: ``local``, the format of a guest local slot (``"locals_[{}]"``
-    in a segment, ``"l{}"`` in a region), and ``trap(raise_line)``,
-    which emits a trap raise one indent deeper than ``emit`` (bare in a
-    segment; after sync, write-back and spill in a region).  Inline
-    cache cells are registered in ``extras`` as ``("cell",)`` specs.
-    ``plain`` emits nothing and returns False for any other op.
+    output (``emit(line)``).  The tier-specific parts are passed in:
+    ``local``, the format of a guest local slot (``"locals_[{}]"`` in a
+    segment, ``"l{}"`` in a region); ``trap(raise_line)``, which emits a
+    trap raise one indent deeper than ``emit`` (bare in a segment; after
+    sync, write-back and spill in a region); and ``lift``, a segment's
+    :class:`_Lift`, which spells trap pcs and per-pc globals as
+    placeholders (None: literally, as regions do).  Inline cache cells
+    are registered in ``extras`` as ``("cell",)`` specs.  ``plain``
+    emits nothing and returns False for any other op.
     """
+    if lift is None:
+        def pos(p):
+            return p
+
+        def glob(prefix, p):
+            return f"{prefix}{p}"
+    else:
+        pos = lift.const
+        glob = lift.name
 
     def plain(op, arg, p):
         if op == _LOAD:
@@ -285,8 +375,13 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
                 _VEntry(local.format(arg), frozenset((arg,)), atom=True)
             )
         elif op == _PUSH:
-            # Parenthesized so attribute access parses: ``(1).__class__``.
-            vstack.append(_VEntry(f"({arg!r})", atom=True))
+            if lift is None or type(arg) in _LITERAL_TYPES:
+                # Parenthesized so attribute access parses:
+                # ``(1).__class__``.
+                vstack.append(_VEntry(f"({arg!r})", atom=True))
+            else:
+                extras[f"_k{p}"] = ("arg", p)
+                vstack.append(_VEntry(glob("_k", p), atom=True))
         elif op == _STORE:
             ent = vpop()
             invalidate(arg)
@@ -324,7 +419,7 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
             b = atomize(vpop())
             msg = "division by zero" if op == _DIV else "modulo by zero"
             emit(f"if {b.expr} == 0:")
-            trap(f"raise _VMTrap({msg!r}, {fn_name!r}, {p})")
+            trap(f"raise _VMTrap({msg!r}, {fn_name!r}, {pos(p)})")
             a = vpop()
             sym = "//" if op == _DIV else "%"
             vstack.append(
@@ -350,8 +445,8 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
         elif op == _NOP:
             pass
         elif op == _GETFIELD:
-            cell = f"_c{p}"
-            extras[cell] = ("cell",)
+            extras[f"_c{p}"] = ("cell",)
+            cell = glob("_c", p)
             r = atomize(vpop())
             t = newtmp()
             emit(f"if {r.expr}.__class__ is _RObject:")
@@ -366,12 +461,12 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
             emit("else:")
             trap(
                 f"raise _VMTrap('GETFIELD on non-object %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
+                f" % ({r.expr},), {fn_name!r}, {pos(p)})"
             )
             vstack.append(_VEntry(t, atom=True))
         elif op == _PUTFIELD:
-            cell = f"_c{p}"
-            extras[cell] = ("cell",)
+            extras[f"_c{p}"] = ("cell",)
+            cell = glob("_c", p)
             v = vpop()
             r = atomize(vpop())
             emit(f"if {r.expr}.__class__ is _RObject:")
@@ -386,17 +481,18 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
             emit("else:")
             trap(
                 f"raise _VMTrap('PUTFIELD on non-object %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
+                f" % ({r.expr},), {fn_name!r}, {pos(p)})"
             )
         elif op == _ALOAD or op == _ASTORE:
             v = vpop() if op == _ASTORE else None
             i = atomize(vpop())
             r = atomize(vpop())
             name = "ALOAD" if v is None else "ASTORE"
+            at = pos(p)
             emit(f"if {r.expr}.__class__ is not _RArray:")
             trap(
                 f"raise _VMTrap('{name} on non-array %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
+                f" % ({r.expr},), {fn_name!r}, {at})"
             )
             emit("try:")
             if v is None:
@@ -408,7 +504,7 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
             trap(
                 f"raise _VMTrap('array index %s out of range"
                 f" [0, %s)' % ({i.expr}, len({r.expr})),"
-                f" {fn_name!r}, {p}) from None"
+                f" {fn_name!r}, {at}) from None"
             )
             if v is None:
                 vstack.append(_VEntry(t, atom=True))
@@ -417,7 +513,7 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
             emit(f"if {r.expr}.__class__ is not _RArray:")
             trap(
                 f"raise _VMTrap('ALEN on non-array %r'"
-                f" % ({r.expr},), {fn_name!r}, {p})"
+                f" % ({r.expr},), {fn_name!r}, {pos(p)})"
             )
             # Reach past RArray.__len__ straight to the list.
             vstack.append(_VEntry(f"len({r.expr}.slots)", r.slots))
@@ -432,14 +528,16 @@ def _plain_emitter(fn_name, local, extras, vstack, vpop, atomize,
 
 
 def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
-                     dynamic, extras):
+                     dynamic, extras, lift):
     """Emit the body of segment ``[s, e)``, which holds no breaker, as
     one handler function.
 
     The caller formats the accounting prologue; this emits the body
     statements and the final control transfer, and registers in
     *extras* the specs of the globals the source expects (inline-cache
-    cells, static callees; see ``FastEngine._namespace``).
+    cells, static callees; see ``FastEngine._namespace``).  Every
+    positional value — handler slots, pcs, per-pc globals — is spelled
+    through *lift*, so the text depends only on the segment's shape.
     """
     lines: List[str] = []
     vstack: List[_VEntry] = []
@@ -489,8 +587,9 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
 
     plain = _plain_emitter(
         fn_name, "locals_[{}]", extras, vstack, vpop, atomize, invalidate,
-        newtmp, emit, lambda line: emit("    " + line),
+        newtmp, emit, lambda line: emit("    " + line), lift,
     )
+    const = lift.const
     for p in range(s, e):
         op = ops[p]
         arg = code[p].arg
@@ -500,7 +599,7 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
         if op == _JUMP:
             flush()
             bump_if_backward(arg, p, "    ")
-            emit(f"return {head_index[arg]}")
+            emit(f"return {const(head_index[arg])}")
         elif op == _JZ or op == _JNZ:
             ent = vpop()
             flush()
@@ -512,8 +611,8 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
                 sym = "!=" if op == _JNZ else "=="
                 emit(f"if {ent.expr} {sym} 0:")
             bump_if_backward(arg, p, "        ")
-            emit(f"    return {head_index[arg]}")
-            emit(f"return {nxt}")
+            emit(f"    return {const(head_index[arg])}")
+            emit(f"return {const(nxt)}")
         elif op == _CALL:
             if dynamic:
                 # Late-bound: the function table can change under
@@ -523,7 +622,7 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
                 emit(f"_callee = _functions.get({arg!r})")
                 emit("if _callee is None:")
                 msg = f"call to unloaded function {arg!r}"
-                emit(f"    raise _VMTrap({msg!r}, {fn_name!r}, {p})")
+                emit(f"    raise _VMTrap({msg!r}, {fn_name!r}, {const(p)})")
                 callee_ref = "_callee"
                 callee_name = "_callee.name"
                 nargs = "_callee.num_params"
@@ -531,8 +630,8 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
             else:
                 callee = functions[arg]
                 nargs = callee.num_params
-                callee_ref = f"_fn{p}"
-                extras[callee_ref] = ("callee", p)
+                extras[f"_fn{p}"] = ("callee", p)
+                callee_ref = lift.name("_fn", p)
                 callee_name = repr(callee.name)
                 if len(vstack) >= nargs:
                     args_ent = vstack[len(vstack) - nargs:]
@@ -557,8 +656,8 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
                 emit("del stack[_n:]")
                 arglist = "_args"
             emit("_fr = _fs[-1]")
-            emit(f"_fr.pc = {p + 1}")
-            emit(f"_fr.fast_pc = {nxt}")
+            emit(f"_fr.pc = {const(p + 1)}")
+            emit(f"_fr.fast_pc = {const(nxt)}")
             emit(f"_fs.append(_Frame({callee_ref}, {arglist}))")
             emit(f"return {_REBIND}")
         elif op == _RETURN:
@@ -582,7 +681,7 @@ def _gen_segment_src(code, ops, s, e, head_index, nxt, fn_name, functions,
             raise AssertionError(f"op {op} not generatable")
         return "\n".join(lines)
     flush()
-    emit(f"return {nxt}")
+    emit(f"return {const(nxt)}")
     return "\n".join(lines)
 
 
@@ -630,6 +729,15 @@ class FastEngine:
             self._codes[fn] = handlers
         return handlers
 
+    def release(self) -> None:
+        """Drop the run's handlers when the run is over.  Generated code
+        and breaker closures refer back to the engine, so the handler
+        lists sit in reference cycles; emptying them frees the segment
+        instances now instead of at the next cycle collection.  The
+        keys of ``_codes`` stay: the functions the run compiled."""
+        for handlers in self._codes.values():
+            handlers.clear()
+
     # -- thread execution ---------------------------------------------------
 
     def run_thread(self, thread) -> bool:
@@ -646,10 +754,14 @@ class FastEngine:
         self.thread = thread
         frames = thread.frames
         self.frames = frames
-        code_for = self._code_for
+        # Handler lists are looked up directly; only a function loaded
+        # mid-run and not yet entered misses and compiles.
+        codes = self._codes
 
         frame = frames[-1]
-        handlers = code_for(frame.function)
+        handlers = codes.get(frame.function)
+        if handlers is None:
+            handlers = self._code_for(frame.function)
         i = frame.fast_pc
         stack = frame.stack
         locals_ = frame.locals
@@ -658,7 +770,9 @@ class FastEngine:
                 i = handlers[i](stack, locals_)
             if i == _REBIND:
                 frame = frames[-1]
-                handlers = code_for(frame.function)
+                handlers = codes.get(frame.function)
+                if handlers is None:
+                    handlers = self._code_for(frame.function)
                 i = frame.fast_pc
                 stack = frame.stack
                 locals_ = frame.locals
@@ -764,6 +878,9 @@ class FastEngine:
         observability decision."""
         vm = self.vm
         ns: Dict[str, object] = {
+            # Segments are bound with ``FunctionType``, not ``exec``,
+            # so the namespace names its builtins itself.
+            "__builtins__": builtins.__dict__,
             "_stats": vm.stats,
             "_eng": self,
             "_vm": vm,
@@ -1253,9 +1370,10 @@ class FastEngine:
             return wrap_head(body, SC, pc_, comp)
 
         # Plain segments are generated first (each registers the extras
-        # specs its source names) and then run in one namespace per
-        # function: ``_c{pc}`` and ``_fn{pc}`` are unique per pc.  The
-        # observer hooks open the source, ahead of the accounting.
+        # specs its source names) and then bound to one namespace per
+        # function: ``_c{pc}``, ``_fn{pc}`` and ``_k{pc}`` are unique per
+        # pc.  The observer hooks open the source, ahead of the
+        # accounting.
         handlers: List[Callable] = []
         generated = []
         spec: Dict[str, tuple] = {}
@@ -1266,14 +1384,16 @@ class FastEngine:
             if ops[s] in _BREAKERS:
                 handlers.append(build_breaker(s, i + 1, seg_cost))
                 continue
+            lift = _Lift()
             body = _gen_segment_src(
                 code, ops, s, e, head_index, i + 1, fn_name, functions,
-                dynamic, spec,
+                dynamic, spec, lift,
             )
             hooks: List[str] = []
             if prof is not None:
                 hooks += _profile_src(
-                    "dispatch", fn_name, s, ops[s], "_eng.frames"
+                    "dispatch", fn_name, lift.const(s), lift.const(ops[s]),
+                    "_eng.frames",
                 )
             if oc is not None:
                 hooks += _count_src(ops, s, e)
@@ -1282,17 +1402,16 @@ class FastEngine:
                 + "".join(f"    {line}\n" for line in hooks)
                 + "    ni = _stats.instructions\n"
                 "    if ni >= _fuel:\n"
-                f"        _eng._fuel_trap({s})\n"
-                f"    _stats.instructions = ni + {e - s}\n"
-                f"    _cy = _stats.cycles + {seg_cost}\n"
+                f"        _eng._fuel_trap({lift.const(s)})\n"
+                f"    _stats.instructions = ni + {lift.const(e - s)}\n"
+                f"    _cy = _stats.cycles + {lift.const(seg_cost)}\n"
                 "    _stats.cycles = _cy\n"
                 "    if _cy >= _eng.next_tick:\n"
                 "        _eng._ticks()\n" + body + "\n"
             )
-            generated.append((i, _code(src, "<segment>", _CODE_CACHE)))
+            generated.append((i, lift.instance(src)))
             handlers.append(None)
         ns = self._namespace(fn, spec)
         for i, co in generated:
-            exec(co, ns)
-            handlers[i] = ns["_h"]
+            handlers[i] = FunctionType(co, ns)
         return handlers

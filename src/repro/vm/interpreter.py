@@ -220,15 +220,15 @@ class VM:
             # fast-engine compilation is inside it: every wall second of
             # run() is attributed to some component (docs/PROFILING.md).
             prof.start()
+        engine = None
         try:
             if self.engine == "fast":
-                run_one = FastEngine(self).run_thread
+                engine = FastEngine(self)
             elif self.engine == "compiled":
                 from repro.vm.compiler import CompiledEngine
 
-                run_one = CompiledEngine(self).run_thread
-            else:
-                run_one = self._run_thread
+                engine = CompiledEngine(self)
+            run_one = self._run_thread if engine is None else engine.run_thread
             rec = self.recorder
             index = 0
             while True:
@@ -254,6 +254,8 @@ class VM:
         finally:
             if prof is not None:
                 prof.stop()
+            if engine is not None:
+                engine.release()
         return VMResult(
             value=main_thread.result if main_thread.result is not None else 0,
             output=self.output,

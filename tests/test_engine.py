@@ -11,6 +11,8 @@ statistical sweep could silently miss:
   reference interpreter's per-instruction dispatch,
 * lowering: every segment that is not a breaker runs generated code,
   and only breakers get a hand-written closure,
+* segment templates: segments that differ only in where they sit share
+  one compiled template, and placeholders never meet guest data,
 * trap parity on all three engines: identical message, function, and
   pc for every trap kind, whether the fault sits mid-segment or alone
   in its segment,
@@ -28,7 +30,7 @@ import pytest
 
 from repro.bytecode import BytecodeBuilder, Klass, Op, Program
 from repro.errors import FuelExhaustedError, ReproError, VMTrap
-from repro.instrument import BlockCountInstrumentation
+from repro.instrument import BlockCountInstrumentation, CallEdgeInstrumentation
 from repro.profiling import OverheadProfiler
 from repro.sampling import CounterTrigger, SamplingFramework, Strategy
 from repro.telemetry import TelemetryRecorder
@@ -147,6 +149,17 @@ def _after_breaker(setup, fault, tail):
     return build
 
 
+def _after_nops(setup, fault, tail):
+    """The fused shape behind three NOPs: every pc moves, and the
+    segment is an instance of the fused case's template."""
+    def build(b):
+        b.emit(Op.NOP).emit(Op.NOP).emit(Op.NOP)
+        setup(b)
+        fault(b)
+        tail(b)
+    return build
+
+
 def _at_branch_target(setup, fault, tail):
     """The fault alone in its segment: a branch target, then a breaker."""
     def build(b):
@@ -164,6 +177,7 @@ TRAP_CASES = [
         ("", _fused),
         ("_after_breaker", _after_breaker),
         ("_at_branch_target", _at_branch_target),
+        ("_after_nops", _after_nops),
     )
     for name, setup, fault, tail in _FAULTS
 ]
@@ -273,6 +287,115 @@ class TestLowering:
                 if entry is not None
                 for part in entry
             )
+
+
+def _shape_program(pad=0):
+    """main calls f, whose segments lift every kind of positional value:
+    trap pcs (DIV, GETFIELD, PUTFIELD), inline-cache cells, a static
+    callee with its resume pc, and branch slots.  *pad* leading NOPs
+    shift every pc of f."""
+    f = BytecodeBuilder("f", num_params=2)
+    done = f.new_label()
+    for _ in range(pad):
+        f.emit(Op.NOP)
+    f.load(1).push(7).emit(Op.DIV).load(0).getfield("C", "x")
+    f.emit(Op.ADD).store(1)
+    f.load(0).load(1).putfield("C", "x")
+    f.load(1).jz(done)
+    f.load(1).push(1).call("g").store(1)
+    f.label(done)
+    f.load(1).ret()
+    g = BytecodeBuilder("g", num_params=2)
+    g.load(0).load(1).emit(Op.SUB).ret()
+    main = BytecodeBuilder("main")
+    obj = main.new_local()
+    main.new("C").store(obj)
+    main.load(obj).push(5).putfield("C", "x")
+    main.load(obj).push(100).call("f").ret()
+    return Program(
+        [main.build(), f.build(), g.build()], classes=[Klass("C", ["x"])]
+    )
+
+
+class TestSegmentTemplates:
+    """Fast-tier segments are instances of position-independent
+    templates, compiled once per shape."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The template cache starts empty, and each ``compile`` of a
+        segment template is logged."""
+        from repro.vm import engine as fast_tier
+
+        log = []
+
+        def counting_compile(src, filename, mode):
+            log.append(filename)
+            return compile(src, filename, mode)
+
+        monkeypatch.setattr(fast_tier, "_CODE_CACHE", {})
+        monkeypatch.setattr(
+            fast_tier, "compile", counting_compile, raising=False
+        )
+        return log
+
+    def test_nop_shifted_copy_compiles_no_new_template(self, compiled):
+        FastEngine(VM(_shape_program(), engine="fast"))
+        assert compiled
+        del compiled[:]
+        shifted = _shape_program(pad=3)
+        FastEngine(VM(shifted, engine="fast"))
+        assert compiled == []
+        ref = VM(shifted, engine="reference").run()
+        fast = VM(shifted, engine="fast").run()
+        assert fast.value == ref.value
+        assert fast.stats.as_dict() == ref.stats.as_dict()
+
+    def test_full_duplication_shares_templates(self, compiled):
+        """The duplicated body of a Full-Duplication transform is a
+        copy of the checking code at other pcs: it doubles the plain
+        segments and compiles no template of its own."""
+        program = _shape_program()
+        FastEngine(VM(program, engine="fast"))
+        templates = len(compiled)
+        assert templates
+        del compiled[:]
+        transformed = SamplingFramework(Strategy.FULL_DUPLICATION).transform(
+            program, CallEdgeInstrumentation()
+        )
+        engine = FastEngine(VM(transformed, engine="fast"))
+        assert compiled == []
+        generated = sum(
+            handler.__code__.co_filename == "<segment>"
+            for handlers in engine._codes.values()
+            for handler in handlers
+        )
+        assert generated >= 2 * templates
+
+    def test_guest_constant_equal_to_a_placeholder(self):
+        """Placeholders are complex literals; a guest complex constant
+        equal to one is bound by name in a segment, so all three
+        engines agree."""
+        def build(b):
+            slot = b.new_local()
+            done = b.new_label()
+            b.push("1j").emit(Op.PRINT)
+            b.push(1j).push(2).emit(Op.MUL).push(3j).emit(Op.ADD)
+            b.store(slot)
+            b.load(slot).push(5j).emit(Op.EQ).jz(done)
+            b.load(slot).push(1j).emit(Op.SUB).store(slot)
+            b.label(done)
+            b.load(slot).ret()
+
+        runs = {
+            engine: run_main(build, engine=engine) for engine in ENGINES
+        }
+        ref = runs["reference"]
+        assert ref.value == 4j
+        for engine in ("fast", "compiled"):
+            assert runs[engine].value == ref.value
+            assert runs[engine].output == ref.output == ["1j"]
+            assert runs[engine].stats.as_dict() == ref.stats.as_dict()
 
 
 class TestInlineCaches:

@@ -27,6 +27,7 @@ import shutil
 import pytest
 
 from repro.analysis import reconcile_stream
+from repro.bytecode import BytecodeBuilder, Op, Program
 from repro.errors import ReproError
 from repro.harness import ExperimentRunner, RunSpec
 from repro.harness.experiment import make_instrumentations
@@ -83,6 +84,26 @@ def _run_with(recorder, workload, strategy, engine="fast", interval=100,
     return result
 
 
+def _recursive_program(depth):
+    """main -> outer -> f(depth), where f recurses down to 0 and holds
+    the program's only CHECK (its target jumps back to the body)."""
+    f = BytecodeBuilder("f", num_params=1)
+    body, base, dup = f.new_label(), f.new_label(), f.new_label()
+    f.emit(Op.CHECK, dup)
+    f.label(body)
+    f.load(0).jz(base)
+    f.load(0).push(1).emit(Op.SUB).call("f").push(1).emit(Op.ADD).ret()
+    f.label(base)
+    f.ret_const(0)
+    f.label(dup)
+    f.jump(body)
+    outer = BytecodeBuilder("outer", num_params=1)
+    outer.load(0).call("f").ret()
+    main = BytecodeBuilder("main")
+    main.push(depth).call("outer").ret()
+    return Program([main.build(), outer.build(), f.build()])
+
+
 # ---------------------------------------------------------------------------
 # calling-context tree primitives
 
@@ -107,6 +128,32 @@ class TestContextTracker:
     def test_join_split_round_trip(self):
         path = ("main", "compress", "emitRun")
         assert split_path(join_path(path)) == path
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_caller_interning_gives_path_ids(self, engine, monkeypatch):
+        """A frame whose caller holds an id is interned from it; the ids
+        and events equal those of interning every whole path.  The first
+        event fires three frames deep, where no caller holds an id."""
+        program = _recursive_program(depth=6)
+
+        def run():
+            rec = TelemetryRecorder(context=True)
+            run_program(
+                program, trigger=CounterTrigger(3), engine=engine,
+                recorder=rec,
+            )
+            return rec.contexts.table(), tuple(rec.events())
+
+        by_caller = run()
+        assert by_caller[0]["0"] == "main;outer;f"
+        assert len(by_caller[0]) == 7
+        monkeypatch.setattr(
+            ContextTracker, "intern_frames",
+            lambda self, frames: self.intern(
+                [f.function.name for f in frames]
+            ),
+        )
+        assert run() == by_caller
 
 
 class TestCallingContextTree:
