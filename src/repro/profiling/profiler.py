@@ -9,8 +9,8 @@ already uses for cycle accounting and telemetry (CHECK, GUARDED_INSTR,
 INSTR, YIELDPOINT, and every other segment head). At each boundary the
 profiler's :attr:`~OverheadProfiler.countdown` is decremented and
 compared, as the paper's compiled-in check does; the fast and compiled
-engines write those two steps straight into their generated code and
-closures, and only the reference interpreter calls :meth:`boundary`.
+engines write those two steps straight into their generated code, and
+only the reference interpreter calls :meth:`boundary`.
 When the countdown reaches zero, :meth:`~OverheadProfiler.sample`
 re-arms it and attributes the wall-clock time since the previous sample
 to the *component* the VM was executing:

@@ -73,11 +73,10 @@ class NullRecorder:
 
     #: True when the recorder wants the live frame stack at event
     #: boundaries so it can attribute events to full calling contexts.
-    #: The reference and fast engines pass ``frames`` unconditionally on
-    #: their recorder-attached paths (ignored unless this is set); the
-    #: compiled engine consults this flag at lowering time and only
-    #: emits the extra argument when it is True, keeping the generated
-    #: source byte-identical in the default configuration.
+    #: The reference engine passes ``frames`` unconditionally on its
+    #: recorder-attached paths (ignored unless this is set); the fast
+    #: and compiled tiers consult this flag when they generate code and
+    #: only write the extra argument when it is True.
     wants_context = False
 
     def check(self, cycles, tid, function, pc, fired, target=None,

@@ -17,9 +17,10 @@ sampling framework's pseudo-ops are first-class here:
 Dispatch is a plain if/elif ladder over opcode ints ordered by dynamic
 frequency.  This module is the *reference* engine: the behavioural
 contract every other engine must match bit-for-bit.  Production runs
-default to the closure-threaded fast engine (:mod:`repro.vm.engine`),
-selected via ``VM(engine=...)`` or ``$REPRO_ENGINE``; the scheduler,
-threads, stats and heap model here are shared by both engines.
+default to the segment-threaded fast engine (:mod:`repro.vm.engine`);
+the compiled tier (:mod:`repro.vm.compiler`) is the third engine.  Both
+are selected via ``VM(engine=...)`` or ``$REPRO_ENGINE``; the
+scheduler, threads, stats and heap model here are shared by all three.
 """
 
 from __future__ import annotations
@@ -37,64 +38,22 @@ from repro.errors import (
     VMTrap,
 )
 from repro.sampling.triggers import NeverTrigger, Trigger
-from repro.vm.engine import FastEngine, resolve_engine
+# Opcode ints hoisted for the dispatch ladder: one table, the fast
+# engine's.
+from repro.vm.engine import (
+    FastEngine,
+    resolve_engine,
+    _PUSH, _POP, _DUP, _SWAP, _LOAD, _STORE, _ADD, _SUB, _MUL, _DIV, _MOD,
+    _AND, _OR, _XOR, _SHL, _SHR, _NEG, _NOT, _LT, _LE, _GT, _GE, _EQ, _NE,
+    _JUMP, _JZ, _JNZ, _CALL, _RETURN, _HALT, _NEW, _GETFIELD, _PUTFIELD,
+    _NEWARRAY, _ALOAD, _ASTORE, _ALEN, _PRINT, _IO, _SPAWN, _NOP,
+    _YIELDPOINT, _CHECK, _INSTR, _GUARDED_INSTR, _LOADFN, _REPLACEFN,
+    _OSRPOINT, _TRY, _ENDTRY, _THROW,
+)
 from repro.vm.cost_model import CostModel
 from repro.vm.frame import Frame, GreenThread
 from repro.vm.tracing import ExecStats
 from repro.vm.values import RArray, RObject, Value
-
-# Opcode ints hoisted for the dispatch ladder.
-_PUSH = int(Op.PUSH)
-_POP = int(Op.POP)
-_DUP = int(Op.DUP)
-_SWAP = int(Op.SWAP)
-_LOAD = int(Op.LOAD)
-_STORE = int(Op.STORE)
-_ADD = int(Op.ADD)
-_SUB = int(Op.SUB)
-_MUL = int(Op.MUL)
-_DIV = int(Op.DIV)
-_MOD = int(Op.MOD)
-_AND = int(Op.AND)
-_OR = int(Op.OR)
-_XOR = int(Op.XOR)
-_SHL = int(Op.SHL)
-_SHR = int(Op.SHR)
-_NEG = int(Op.NEG)
-_NOT = int(Op.NOT)
-_LT = int(Op.LT)
-_LE = int(Op.LE)
-_GT = int(Op.GT)
-_GE = int(Op.GE)
-_EQ = int(Op.EQ)
-_NE = int(Op.NE)
-_JUMP = int(Op.JUMP)
-_JZ = int(Op.JZ)
-_JNZ = int(Op.JNZ)
-_CALL = int(Op.CALL)
-_RETURN = int(Op.RETURN)
-_HALT = int(Op.HALT)
-_NEW = int(Op.NEW)
-_GETFIELD = int(Op.GETFIELD)
-_PUTFIELD = int(Op.PUTFIELD)
-_NEWARRAY = int(Op.NEWARRAY)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_ALEN = int(Op.ALEN)
-_PRINT = int(Op.PRINT)
-_IO = int(Op.IO)
-_SPAWN = int(Op.SPAWN)
-_NOP = int(Op.NOP)
-_YIELDPOINT = int(Op.YIELDPOINT)
-_CHECK = int(Op.CHECK)
-_INSTR = int(Op.INSTR)
-_GUARDED_INSTR = int(Op.GUARDED_INSTR)
-_LOADFN = int(Op.LOADFN)
-_REPLACEFN = int(Op.REPLACEFN)
-_OSRPOINT = int(Op.OSRPOINT)
-_TRY = int(Op.TRY)
-_ENDTRY = int(Op.ENDTRY)
-_THROW = int(Op.THROW)
 
 #: Ops with their own profiler boundary classification; everything else
 #: reports a generic "dispatch" boundary (see repro.profiling).
@@ -135,21 +94,25 @@ class VM:
         max_stack_depth: frame-stack limit per thread.
         record_opcode_counts: collect per-opcode execution counts
             (slower; used by calibration tooling).
-        engine: ``"fast"`` (closure-threaded, the default) or
-            ``"reference"`` (this module's opcode ladder).  ``None``
-            consults ``$REPRO_ENGINE`` and falls back to "fast".  Both
-            engines produce bit-identical stats/cycles/output/profiles;
-            see :mod:`repro.vm.engine` and docs/VM_PERF.md.
+        engine: ``"fast"`` (segment-threaded generated code, the
+            default), ``"compiled"`` (whole functions lowered to one
+            generated region each) or ``"reference"`` (this module's
+            opcode ladder).  ``None`` consults ``$REPRO_ENGINE`` and
+            falls back to "fast".  All three produce bit-identical
+            stats/cycles/output/profiles on every run that completes;
+            see :mod:`repro.vm.engine`, :mod:`repro.vm.compiler` and
+            docs/VM_PERF.md.
         recorder: telemetry recorder whose hooks fire at observer
             boundaries (see :mod:`repro.telemetry.recorder` and
             docs/OBSERVABILITY.md).  ``None`` (the default) compiles /
-            dispatches with no telemetry branches at all; both engines
-            emit identical event streams for the same program+trigger.
+            dispatches with no telemetry branches at all; all three
+            engines emit identical event streams for the same
+            program+trigger.
         profiler: a :class:`repro.profiling.OverheadProfiler` sampling
             the *host* interpreter at the same observer boundaries
             (docs/PROFILING.md).  ``None`` or a disabled profiler is a
             compile-time decision exactly like ``recorder=None``: the
-            fast engine builds hook-free closures, so the disabled path
+            fast tiers generate hook-free code, so the disabled path
             costs nothing.  Profiling reads VM state but never writes
             it — ExecStats/events/profiles are bit-identical with or
             without a profiler attached.
