@@ -25,6 +25,7 @@ from typing import (
 from repro import instrument
 from repro.analysis import (
     AuditReport,
+    CostCertificate,
     IncrementalCertifier,
     Severity,
     audit_program,
@@ -35,6 +36,7 @@ from repro.analysis import (
     reconcile_stream,
 )
 from repro.analysis.context import DUPLICATING_STRATEGIES
+from repro.bytecode.opcodes import Op
 from repro.bytecode.program import Program
 from repro.errors import HarnessError
 from repro.harness.formatting import render_table
@@ -46,7 +48,7 @@ from repro.profiling.profiler import (
     OverheadProfiler,
 )
 from repro.sampling.framework import SamplingFramework, Strategy, TransformReport
-from repro.sampling.triggers import make_trigger
+from repro.sampling.triggers import Trigger, make_trigger
 from repro.profiles.overlap import overlap_percentage
 from repro.telemetry.compaction import Record, inflate, sample_site_profile
 from repro.telemetry.manifest import RunManifest, spec_as_dict
@@ -60,10 +62,19 @@ from repro.workloads.suite import Workload, get_workload, workload_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.baseline_cache import BaselineCache
+    from repro.harness.derive import WindowLedger
     from repro.profiling.ledger import PerfLedger
 
 #: Default instruction budget for experiment runs.
 DEFAULT_FUEL = 100_000_000
+
+#: The triggers whose cells a family derives: countdowns, which fire by
+#: polls (the timer fires by cycles).
+_COUNTDOWNS = ("counter", "randomized")
+
+#: What recording a run's window ledger costs, in plain runs: measured
+#: over 36 family pairs of ``repro tables all`` (docs/HARNESS.md).
+_RECORDING_COST = 0.57
 
 
 def _instrument_class(name: str) -> Callable[[], Instrumentation]:
@@ -241,6 +252,11 @@ class _Family:
     seconds: float
     code_bytes: int
     audit: AuditReport
+    #: the program can change its function table as it runs
+    dynamic: bool
+    #: the certificate the family's last computed cell reconciled
+    #: against: the audit's, or a dynamic program's incremental one
+    certificate: Optional[CostCertificate] = None
 
 
 @dataclass
@@ -249,7 +265,8 @@ class CellRecord:
 
     label: str
     seconds: float
-    source: str  # "serial" | "pool:<pid>" | "baseline" | "baseline-cache"
+    #: "serial" | "pool:<pid>" | "derived" | "baseline" | "baseline-cache"
+    source: str
     baseline_cache_hit: bool = False
 
 
@@ -566,38 +583,13 @@ class ExperimentRunner:
             seconds=seconds,
             code_bytes=transformed.total_code_size_bytes(),
             audit=audit_report,
+            dynamic=transformed.is_dynamic(),
         )
 
-    def _compute(
-        self, spec: RunSpec, families: Dict[tuple, _Family]
-    ) -> Tuple[RunResult, CellRecord]:
-        """Compute one cell: transform its family (looked up in, and
-        added to, the batch map *families*), run, check, and build the
-        manifest. Of the runner's state it touches only the baselines
-        (with their log records and cache counts), so a pool worker's
-        copy of the runner computes what the parent would; :meth:`_keep`
-        keeps the cell."""
-        cell_started = time.perf_counter()
-        program, base_result = self.baseline(spec.workload, spec.scale)
-        family = self._family(spec, program, families)
-        transformed = family.program
-        audit_report = _relabeled(family.audit, spec.describe())
-
-        # Dynamic programs change their function table mid-run, so the
-        # pre-run certificate stops describing the executed code: an
-        # incremental certifier audits every loaded/replaced function at
-        # its load event and maintains the certificate by deltas,
-        # starting from the family audit's per-function bounds.
-        certifier: Optional[IncrementalCertifier] = None
-        if transformed.is_dynamic():
-            certifier = IncrementalCertifier.from_certificate(
-                audit_report.certificate,
-                strategy=_expected_strategy(spec),
-                label=spec.describe(),
-            )
-
-        # A bad interval or timer period ends here as a HarnessError,
-        # not as a traceback from the trigger or the engine.
+    def _trigger(self, spec: RunSpec) -> Tuple[Trigger, Optional[int]]:
+        """A fresh trigger for *spec*, and the seed it was built with. A
+        bad interval or timer period ends here as a HarnessError, not as
+        a traceback from the trigger or the engine."""
         if spec.timer_period < 1:
             raise HarnessError(
                 f"{spec.describe()}: timer period must be >= 1, "
@@ -618,6 +610,41 @@ class ExperimentRunner:
             trigger = make_trigger(spec.trigger, spec.interval, **options)
         except ValueError as exc:
             raise HarnessError(f"{spec.describe()}: {exc}") from None
+        return trigger, seed_used
+
+    def _compute(
+        self,
+        spec: RunSpec,
+        families: Dict[tuple, _Family],
+        ledger: Optional[WindowLedger] = None,
+    ) -> Tuple[RunResult, CellRecord]:
+        """Compute one cell: transform its family (looked up in, and
+        added to, the batch map *families*), run, check, and build the
+        manifest. Of the runner's state it touches only the baselines
+        (with their log records and cache counts), so a pool worker's
+        copy of the runner computes what the parent would; :meth:`_keep`
+        keeps the cell. A *ledger* records the run's windows for the
+        cells that :meth:`_compute_family` derives."""
+        cell_started = time.perf_counter()
+        program, base_result = self.baseline(spec.workload, spec.scale)
+        family = self._family(spec, program, families)
+        transformed = family.program
+        audit_report = _relabeled(family.audit, spec.describe())
+
+        # Dynamic programs change their function table mid-run, so the
+        # pre-run certificate stops describing the executed code: an
+        # incremental certifier audits every loaded/replaced function at
+        # its load event and maintains the certificate by deltas,
+        # starting from the family audit's per-function bounds.
+        certifier: Optional[IncrementalCertifier] = None
+        if family.dynamic:
+            certifier = IncrementalCertifier.from_certificate(
+                audit_report.certificate,
+                strategy=_expected_strategy(spec),
+                label=spec.describe(),
+            )
+
+        trigger, seed_used = self._trigger(spec)
         profiler = (
             OverheadProfiler(
                 interval=self.profile_interval,
@@ -658,10 +685,17 @@ class ExperimentRunner:
             engine=self.engine,
             recorder=recorder,
             profiler=profiler,
+            ledger=ledger,
         )
         if certifier is not None:
             certifier.attach(vm)
-        result = vm.run()
+        if ledger is not None:
+            ledger.capture(family.instrumentations)
+        try:
+            result = vm.run()
+        finally:
+            if ledger is not None:
+                ledger.close()
         vm_seconds = time.perf_counter() - vm_started
 
         if result.value != base_result.value or (
@@ -670,17 +704,6 @@ class ExperimentRunner:
             raise HarnessError(
                 f"{spec.describe()}: transformed program diverged "
                 f"(value {result.value} vs {base_result.value})"
-            )
-        duplicating = not DUPLICATING_STRATEGIES.isdisjoint(
-            [spec.strategy.value, *dict(spec.plan or ()).values()]
-        )
-        if duplicating and not property1_vs_baseline(
-            result.stats, base_result.stats
-        ):
-            raise HarnessError(
-                f"{spec.describe()}: Property 1 violated "
-                f"(checks={result.stats.checks_executed}, "
-                f"bound={base_result.stats.check_opportunities})"
             )
         # Planned (mixed-strategy) runs reconcile per function: with
         # telemetry on, each function's measured check count is held to
@@ -701,26 +724,15 @@ class ExperimentRunner:
                 f"its audit ({certifier.loads} load(s), "
                 f"{certifier.replaces} replace(s))"
             )
-        certificate = (
+        family.certificate = (
             certifier.dynamic_certificate()
             if certifier is not None
             else audit_report.certificate
         )
-        verdict = (
-            reconcile_plan(certificate, result.stats, plan_metrics)
-            if spec.plan is not None
-            else reconcile(certificate, result.stats)
+        verdict = self._verify(
+            spec, result.stats, base_result.stats, family.certificate,
+            certifier is not None, plan_metrics,
         )
-        if not verdict.ok:
-            self.metrics.counter(
-                "harness.audit.reconcile_violations"
-            ).inc(len(verdict.violations))
-            raise HarnessError(
-                f"{spec.describe()}: run contradicts its "
-                + ("incremental " if certifier is not None else "")
-                + "cost certificate: "
-                + "; ".join(verdict.violations)
-            )
 
         profile_payload: Optional[Dict[str, object]] = None
         if profiler is not None:
@@ -796,6 +808,282 @@ class ExperimentRunner:
             )
         return run_result, CellRecord(spec.describe(), cell_seconds, "serial")
 
+    def _verify(
+        self,
+        spec: RunSpec,
+        stats: ExecStats,
+        base_stats: ExecStats,
+        certificate: CostCertificate,
+        incremental: bool,
+        plan_metrics: Optional[Dict[str, Dict[str, object]]] = None,
+    ):
+        """The checks every cell passes, run or derived: Property 1
+        against the baseline run for duplicating strategies, and the
+        counters against the cost certificate."""
+        duplicating = not DUPLICATING_STRATEGIES.isdisjoint(
+            [spec.strategy.value, *dict(spec.plan or ()).values()]
+        )
+        if duplicating and not property1_vs_baseline(stats, base_stats):
+            raise HarnessError(
+                f"{spec.describe()}: Property 1 violated "
+                f"(checks={stats.checks_executed}, "
+                f"bound={base_stats.check_opportunities})"
+            )
+        verdict = (
+            reconcile_plan(certificate, stats, plan_metrics)
+            if spec.plan is not None
+            else reconcile(certificate, stats)
+        )
+        if not verdict.ok:
+            self.metrics.counter(
+                "harness.audit.reconcile_violations"
+            ).inc(len(verdict.violations))
+            raise HarnessError(
+                f"{spec.describe()}: run contradicts its "
+                + ("incremental " if incremental else "")
+                + "cost certificate: "
+                + "; ".join(verdict.violations)
+            )
+        return verdict
+
+    # -- cell families ------------------------------------------------------------
+
+    def _compute_family(
+        self, specs: Sequence[RunSpec], families: Dict[tuple, _Family]
+    ) -> Tuple[List[Tuple[RunResult, CellRecord]], Dict[str, int]]:
+        """Compute one cell family's cells, returned in *specs* order,
+        with the ``harness.derive.*`` counts they add to :attr:`metrics`.
+        The serial loop and the pool's task both come here.
+
+        Counter and randomized cells are derived instead of run where
+        that is exact (docs/HARNESS.md, "Derived cells"): a cell whose
+        trigger fires at none of the never-side run's polls is that run
+        relabelled, and in a single-threaded family the others are
+        folded from the window ledgers of the never-side run and the
+        interval-1 run (:mod:`repro.harness.derive`). A family that
+        does not derive from ledgers counts its reason."""
+        notes: Dict[str, int] = {}
+        done: Dict[RunSpec, Tuple[RunResult, CellRecord]] = {}
+        sampled = [spec for spec in specs if spec.trigger in _COUNTDOWNS]
+        reason = self._refusal(specs, sampled)
+        if reason not in ("engine", "observer"):
+            reason = self._derive(specs, sampled, reason, families, done, notes)
+        if reason is not None:
+            _count(notes, f"harness.derive.refused.{reason}")
+        for spec in specs:
+            if spec not in done:
+                done[spec] = self._compute(spec, families)
+        return [done[spec] for spec in specs], notes
+
+    def _refusal(
+        self, specs: Sequence[RunSpec], sampled: List[RunSpec]
+    ) -> Optional[str]:
+        """Why the family of *specs* cannot be derived from window
+        ledgers, decided before anything runs; None when it may be."""
+        head = specs[0]
+        if self.engine != "fast":
+            return "engine"
+        if self.telemetry or self.profile or self.stream is not None:
+            # Records, manifests and spools come from a real run.
+            return "observer"
+        if head.plan is not None:
+            return "plan"
+        if head.sample_iterations > 1:
+            return "iterations"
+        program = self.baseline(head.workload, head.scale)[0]
+        if any(
+            ins.op is Op.SPAWN
+            for fn in program.functions.values()
+            for ins in fn.code
+        ):
+            # Thread switches follow the cycle-driven timer, so cells
+            # interleave their threads differently.
+            return "threads"
+        if head.strategy is Strategy.NO_DUPLICATION and any(
+            instrumentation.stateful_actions
+            for instrumentation in make_instrumentations(head.instrumentation)
+        ):
+            return "instrumentation"
+        if not sampled:
+            return (
+                "timer" if any(s.trigger == "timer" for s in specs) else "few"
+            )
+        return None
+
+    def _never_side(
+        self, specs: Sequence[RunSpec], sampled: List[RunSpec]
+    ) -> Optional[RunSpec]:
+        """The family's never cell, else a counter cell that provably
+        takes no sample: its first sample is further away than the
+        Property-1 bound on the checks any cell of a duplicating family
+        executes (the baseline's entries, spawns and backedges)."""
+        never = next((spec for spec in specs if spec.trigger == "never"), None)
+        head = specs[0]
+        if (
+            never is not None
+            or head.plan is not None
+            or head.strategy.value not in DUPLICATING_STRATEGIES
+        ):
+            return never
+        base = self.baseline(head.workload, head.scale)[1].stats
+        bound = base.calls + base.threads_spawned + base.backward_jumps
+        return next(
+            (
+                spec for spec in sampled
+                if spec.trigger == "counter"
+                and next(self._trigger(spec)[0].fires(), bound) >= bound
+            ),
+            None,
+        )
+
+    def _derive(
+        self,
+        specs: Sequence[RunSpec],
+        sampled: List[RunSpec],
+        reason: Optional[str],
+        families: Dict[tuple, _Family],
+        done: Dict[RunSpec, Tuple[RunResult, CellRecord]],
+        notes: Dict[str, int],
+    ) -> Optional[str]:
+        """Put every cell of the family that can be derived into *done*:
+        relabelled from the never-side run, or, while *reason* is None,
+        folded from the two ledgers. Return the family's reason not to
+        derive from ledgers (None when it did)."""
+        head = specs[0]
+        guarded = head.strategy is Strategy.NO_DUPLICATION
+        never_side = self._never_side(specs, sampled)
+        fired_side = next(
+            (
+                spec for spec in sampled
+                if spec.trigger == "counter" and spec.interval == 1
+            ),
+            None,
+        )
+        derivable = [
+            spec for spec in sampled
+            if spec != never_side and spec != fired_side
+        ]
+        if reason is None:
+            # A recorded run costs about 0.57 of a run more, and a side
+            # that is not a cell of the batch a whole run.
+            cost = (
+                2 * _RECORDING_COST
+                + (never_side is None)
+                + (fired_side is None)
+            )
+            if len(derivable) <= cost:
+                reason = "few"
+            elif never_side is None:
+                never_side = replace(
+                    sampled[0], trigger="never", interval=None, phase=0,
+                    seed=None,
+                )
+        if never_side is None:
+            return reason
+        ledger = None
+        if reason is None and not guarded:
+            ledger = self._ledger(derivable, frames=True)
+            _count(notes, "harness.derive.recordings")
+        cell = self._compute(never_side, families, ledger=ledger)
+        if never_side in specs:
+            done[never_side] = cell
+        else:
+            _count(notes, "harness.derive.extra_runs")
+        never = cell[0]
+        certificate = families[head.family_key()].certificate
+        threaded = never.stats.threads_spawned > 1
+        if reason is None and threaded:
+            reason = "threads"
+        if reason is None and any(never.profiles.values()):
+            reason = "instrumentation"
+        polls = never.stats.checks_executed + never.stats.guarded_checks_executed
+        firing: List[RunSpec] = []
+        for spec in sampled:
+            if spec in done or (
+                threaded and spec.timer_period != never_side.timer_period
+            ):
+                continue
+            if next(self._trigger(spec)[0].fires(), polls) >= polls:
+                # No poll fires, so the run is the never-side run's.
+                stats = ExecStats.from_dict(never.stats.as_dict())
+                if not threaded:
+                    stats.timer_ticks = stats.cycles // spec.timer_period
+                profiles = {
+                    name: profile.copy()
+                    for name, profile in never.profiles.items()
+                }
+                done[spec] = self._derived(
+                    spec, never, stats, profiles, certificate, families
+                )
+                _count(notes, "harness.derive.cells")
+            elif spec != fired_side:
+                firing.append(spec)
+        if reason is not None or not firing:
+            return reason
+        fired_ledger = self._ledger(derivable, frames=not guarded)
+        _count(notes, "harness.derive.recordings")
+        fired_spec = fired_side or replace(
+            firing[0], trigger="counter", interval=1, phase=0, seed=None
+        )
+        cell = self._compute(fired_spec, families, ledger=fired_ledger)
+        if fired_side is not None:
+            done[fired_side] = cell
+        else:
+            _count(notes, "harness.derive.extra_runs")
+        from repro.harness.derive import derive_stats
+
+        derived = derive_stats(
+            never.stats, ledger, fired_ledger,
+            [spec.timer_period for spec in derivable], guarded,
+        )
+        for spec in firing:
+            index = derivable.index(spec)
+            done[spec] = self._derived(
+                spec, never, derived[index], fired_ledger.profiles(index),
+                certificate, families,
+            )
+            _count(notes, "harness.derive.cells")
+        return None
+
+    def _ledger(self, specs: List[RunSpec], frames: bool) -> "WindowLedger":
+        """A window ledger tracking the fire sets of *specs*."""
+        from repro.harness.derive import WindowLedger
+
+        return WindowLedger(
+            [self._trigger(spec)[0] for spec in specs], frames=frames
+        )
+
+    def _derived(
+        self,
+        spec: RunSpec,
+        never: RunResult,
+        stats: ExecStats,
+        profiles: Dict[str, Profile],
+        certificate: CostCertificate,
+        families: Dict[tuple, _Family],
+    ) -> Tuple[RunResult, CellRecord]:
+        """A derived cell, checked as a run cell is: its counters hold
+        to Property 1 and to the never-side run's certificate. Its value
+        is the never-side run's, and it spent no time in the VM."""
+        started = time.perf_counter()
+        family = families[spec.family_key()]
+        base_stats = self.baseline(spec.workload, spec.scale)[1].stats
+        self._verify(spec, stats, base_stats, certificate, family.dynamic)
+        result = RunResult(
+            spec=spec,
+            value=never.value,
+            cycles=stats.cycles,
+            stats=stats,
+            profiles=profiles,
+            transform_report=family.report,
+            transform_seconds=family.seconds,
+            code_bytes=family.code_bytes,
+            audit=_relabeled(family.audit, spec.describe()),
+        )
+        return result, CellRecord(
+            spec.describe(), time.perf_counter() - started, "derived"
+        )
+
     def _keep(self, result: RunResult, record: CellRecord) -> None:
         """Keep one computed cell, wherever it ran: memoize it (the
         memoized result is the one store of its manifest and profile)
@@ -823,37 +1111,51 @@ class ExperimentRunner:
         """Run every spec; the returned list matches *specs*
         positionally.
 
-        The batch transforms each cell family (:meth:`RunSpec.
-        family_key`) once: its cells share the instrumented, verified
-        and audited program, which is dropped when the batch returns.
-        When the uncomputed cells span two or more families and the
-        runner has more than one job, the families run on worker
-        processes, one task each. Cells are deterministic, so the
-        outcome is bit-identical to a serial loop regardless of the
-        worker count; only wall time changes.
+        The batch computes one cell family (:meth:`RunSpec.family_key`)
+        at a time (:meth:`_compute_family`): its cells share the
+        instrumented, verified and audited program, which is dropped
+        when the family is done, and its counter cells may be derived
+        from two recorded runs. When the uncomputed cells span two or
+        more families and the runner has more than one job, the
+        families run on worker processes, one task each. Cells are
+        deterministic and kept in batch order, so the outcome is
+        bit-identical to a serial loop regardless of the worker count;
+        only wall time changes.
         """
         pending = list(
             dict.fromkeys(spec for spec in specs if spec not in self._run_memo)
         )
         self.memo_hits += len(specs) - len(pending)
-        families = len({spec.family_key() for spec in pending})
-        if families:
-            self.metrics.counter("harness.transform.families").inc(families)
+        groups = family_groups(pending)
+        if groups:
+            self.metrics.counter("harness.transform.families").inc(
+                len(groups)
+            )
         jobs = 1
-        if families > 1:
+        if len(groups) > 1:
             from repro.harness.parallel import effective_jobs
 
             jobs = effective_jobs(self.jobs)
+        notes: Dict[str, int] = {}
         if jobs > 1:
             from repro.harness.parallel import run_specs
 
-            for result, record, cache_counts in run_specs(self, pending, jobs):
+            cells, notes = run_specs(self, pending, groups, jobs)
+            for result, record, cache_counts in cells:
                 self._record_cache_counts(cache_counts)
                 self._keep(result, record)
         else:
-            shared: Dict[tuple, _Family] = {}
+            computed: Dict[RunSpec, Tuple[RunResult, CellRecord]] = {}
+            for indices in groups:
+                family = [pending[i] for i in indices]
+                cells, counts = self._compute_family(family, {})
+                computed.update(zip(family, cells))
+                for key, amount in counts.items():
+                    _count(notes, key, amount)
             for spec in pending:
-                self._keep(*self._compute(spec, shared))
+                self._keep(*computed[spec])
+        for key, amount in sorted(notes.items()):
+            self.metrics.counter(key).inc(amount)
         return [self._run_memo[spec] for spec in specs]
 
     # -- reporting ----------------------------------------------------------------
@@ -898,7 +1200,25 @@ class ExperimentRunner:
             f"  transforms: "
             f"{self._metric_value('harness.transform.families')} for "
             f"{len(computed) - baselines} cells",
+            f"  derived cells: {self._metric_value('harness.derive.cells')}"
+            f" ({self._metric_value('harness.derive.recordings')} "
+            "recorded run(s), "
+            f"{self._metric_value('harness.derive.extra_runs')} run(s) "
+            "outside the batch)",
         ]
+        refused = {
+            key.rsplit(".", 1)[1]: metric["value"]
+            for key, metric in self.metrics.snapshot().items()
+            if key.startswith("harness.derive.refused.")
+        }
+        if refused:
+            lines.append(
+                "  families not derived: "
+                + ", ".join(
+                    f"{reason} {count}"
+                    for reason, count in sorted(refused.items())
+                )
+            )
         if self.baseline_cache is not None:
             # Sourced from the metrics registry, not the cache handle:
             # the registry also accumulates the deltas pool workers
@@ -1086,6 +1406,19 @@ COMPACTION_MATRIX_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy.PARTIAL_DUPLICATION,
     Strategy.NO_DUPLICATION,
 )
+
+
+def family_groups(specs: Sequence[RunSpec]) -> List[List[int]]:
+    """The indices of *specs* by cell family, families in order of
+    first appearance."""
+    groups: Dict[tuple, List[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(spec.family_key(), []).append(index)
+    return list(groups.values())
+
+
+def _count(notes: Dict[str, int], key: str, amount: int = 1) -> None:
+    notes[key] = notes.get(key, 0) + amount
 
 
 def _expected_strategy(spec: RunSpec) -> Optional[str]:

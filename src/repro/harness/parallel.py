@@ -13,13 +13,15 @@ runner has more than one job:
   workers reuse the baselines the parent already holds (a shared
   baseline cache directory spares the rest). The worker drops its
   ledger: the parent keeps every cell, so only it appends;
-* cells are dispatched one *cell family* per task (``chunksize=1``;
-  :meth:`~repro.harness.RunSpec.family_key`): the worker *computes*
-  the family's cells in order on one shared transformed program and
-  ships each back with its log record and baseline-cache deltas. The
-  parent *keeps* them in batch order through the same step as a serial
-  cell, so the caller sees the exact list, manifests, counters and cell
-  log it would get from a serial loop;
+* cells are dispatched one *cell family* per task
+  (:meth:`~repro.harness.RunSpec.family_key`): the worker *computes*
+  the family as the serial loop does — on one shared transformed
+  program, deriving its counter cells where it can — and ships each
+  cell back with its log record and baseline-cache deltas, and the
+  family's derivation counts. The parent *keeps* them in batch order
+  through the same step as a serial cell, so the caller sees the exact
+  list, manifests, counters and cell log it would get from a serial
+  loop;
 * every cell is seeded deterministically from its spec content
   (:func:`~repro.harness.experiment.cell_seed`), never from worker
   identity, scheduling order, or wall clock — the same spec produces
@@ -29,7 +31,10 @@ runner has more than one job:
 
 Workers prefer the ``fork`` start method (cheap on Linux, inherits the
 parent's compiled-workload caches) and fall back to ``spawn`` where
-fork is unavailable.
+fork is unavailable. The pool is a
+:class:`concurrent.futures.ProcessPoolExecutor`, so a worker that dies
+(killed, or out of memory) ends the batch with an error instead of
+leaving the parent waiting for a result that will never come.
 """
 
 from __future__ import annotations
@@ -86,21 +91,27 @@ def _init_worker(runner: "ExperimentRunner") -> None:
     _WORKER_RUNNER = runner
 
 
-def _run_family(specs: List["RunSpec"]) -> List[PooledCell]:
-    """One pool task: a cell family's cells, in order, sharing one
-    transformed program. Each cell comes back with its log record and
-    the baseline-cache hits, misses and stores it caused here."""
+def _run_family(
+    specs: List["RunSpec"],
+) -> Tuple[List["PooledCell"], Dict[str, int]]:
+    """One pool task: a cell family's cells, in order, computed as the
+    serial loop computes them (:meth:`ExperimentRunner._compute_family`),
+    with its ``harness.derive.*`` counts. Each cell comes back with its
+    log record and the baseline-cache hits, misses and stores it caused
+    here: the family's, on its first cell."""
     runner = _WORKER_RUNNER
-    families: dict = {}
-    cells = []
-    for spec in specs:
-        before = runner._cache_counts()
-        result, record = runner._compute(spec, families)
-        cache_counts = runner._cache_delta(before)
-        record.source = f"pool:{os.getpid()}"
+    before = runner._cache_counts()
+    cells, notes = runner._compute_family(specs, {})
+    family_counts = runner._cache_delta(before)
+    source = f"pool:{os.getpid()}"
+    pooled = []
+    for index, (result, record) in enumerate(cells):
+        cache_counts = family_counts if index == 0 else (0, 0, 0)
+        if record.source == "serial":
+            record.source = source
         record.baseline_cache_hit = cache_counts[0] > 0
-        cells.append((result, record, cache_counts))
-    return cells
+        pooled.append((result, record, cache_counts))
+    return pooled, notes
 
 
 def _pool_context():
@@ -113,24 +124,46 @@ def _pool_context():
 
 
 def run_specs(
-    runner: "ExperimentRunner", specs: Sequence["RunSpec"], jobs: int
-) -> List[PooledCell]:
+    runner: "ExperimentRunner",
+    specs: Sequence["RunSpec"],
+    groups: List[List[int]],
+    jobs: int,
+) -> Tuple[List[PooledCell], Dict[str, int]]:
     """Compute *specs* on *jobs* worker processes that adopt *runner*,
-    one task per cell family, and return the cells in *specs* order.
-    The caller keeps them."""
-    groups: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(spec.family_key(), []).append(index)
-    tasks = [[specs[i] for i in indices] for indices in groups.values()]
-    with _pool_context().Pool(
-        processes=min(jobs, len(tasks)),
+    one task per cell family (*groups* holds each family's indices into
+    *specs*), and return the cells in *specs* order with the families'
+    summed ``harness.derive.*`` counts. The caller keeps the cells.
+
+    A worker that dies mid-task breaks the pool; that ends the batch
+    with a :class:`HarnessError` naming the families left unfinished.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    tasks = [[specs[i] for i in indices] for indices in groups]
+    by_index: Dict[int, PooledCell] = {}
+    notes: Dict[str, int] = {}
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(runner,),
     ) as pool:
-        done = pool.map(_run_family, tasks, chunksize=1)
-    by_index = {
-        index: cell
-        for indices, cells in zip(groups.values(), done)
-        for index, cell in zip(indices, cells)
-    }
-    return [by_index[index] for index in range(len(specs))]
+        futures = [pool.submit(_run_family, task) for task in tasks]
+        lost = []
+        for indices, task, future in zip(groups, tasks, futures):
+            try:
+                cells, counts = future.result()
+            except BrokenProcessPool:
+                lost.append(task[0].describe())
+                continue
+            by_index.update(zip(indices, cells))
+            for key, amount in counts.items():
+                notes[key] = notes.get(key, 0) + amount
+    if lost:
+        raise HarnessError(
+            "a pool worker died before it finished the cell famil"
+            + ("y of " if len(lost) == 1 else "ies of ")
+            + "; ".join(lost)
+        )
+    return [by_index[index] for index in range(len(specs))], notes

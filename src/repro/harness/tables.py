@@ -15,8 +15,10 @@ differ only in trigger, interval, phase, timer period or seed — Table
 the worker pool when the runner is configured with ``jobs > 1``
 (``--jobs`` / ``$REPRO_JOBS``), so a parallel run is cell-for-cell
 identical to a serial one. Table 5 matches its counter grid to its
-timer runs, so it runs two batches. Table 2's ``xform ms`` is the
-family's single transform time.
+timer runs, so it runs two batches: the timer runs, then the perfect
+profiles with the grids, whose cells the batch derives from each
+family's interval-1 run. Table 2's ``xform ms`` is the family's single
+transform time.
 """
 
 from __future__ import annotations
@@ -397,29 +399,32 @@ def table5(
     runner = runner or ExperimentRunner()
     suite = _suite(workloads)
 
-    # Phase 1: perfect profiles + timer runs (periods derive from the
-    # baselines, which run serially but hit the persistent cache).
-    phase1 = runner.run_many(
-        [
-            _table5_spec(name, scale, trigger="counter", interval=1)
-            for name in suite
-        ]
-        + [
-            _table5_spec(
-                name,
-                scale,
-                trigger="timer",
-                timer_period=max(
-                    400, runner.baseline_cycles(name, scale) // target_samples
-                ),
-            )
-            for name in suite
-        ]
+    # Batch 1: the timer runs (periods derive from the baselines, which
+    # run serially but hit the persistent cache).
+    timer_runs = dict(
+        zip(
+            suite,
+            runner.run_many(
+                [
+                    _table5_spec(
+                        name,
+                        scale,
+                        trigger="timer",
+                        timer_period=max(
+                            400,
+                            runner.baseline_cycles(name, scale)
+                            // target_samples,
+                        ),
+                    )
+                    for name in suite
+                ]
+            ),
+        )
     )
-    perfects = dict(zip(suite, phase1[: len(suite)]))
-    timer_runs = dict(zip(suite, phase1[len(suite):]))
-    # Phase 2: each workload's counter grid is matched to its timer
-    # run's sample count, so it can only be enumerated now.
+    # Batch 2: the perfect profiles and each workload's counter grid,
+    # matched to its timer run's sample count, in one batch, so each
+    # family's interval-1 cell records the windows its grid is derived
+    # from.
     grids = {
         name: _table5_counter_specs(
             name,
@@ -432,9 +437,17 @@ def table5(
         )
         for name in suite
     }
-    grid_runs = iter(
-        runner.run_many([spec for grid in grids.values() for spec in grid])
+    perfect_specs = [
+        _table5_spec(name, scale, trigger="counter", interval=1)
+        for name in suite
+    ]
+    batch = iter(
+        runner.run_many(
+            perfect_specs + [spec for grid in grids.values() for spec in grid]
+        )
     )
+    perfects = {name: next(batch) for name in suite}
+    grid_runs = batch
 
     rows: List[List] = []
     for name in suite:

@@ -60,6 +60,13 @@ class Instrumentation:
     #: human-readable kind name (used for profile and report labels)
     kind: str = "instrumentation"
 
+    #: whether the actions carry state from one action to the next (a
+    #: register kept in a guest local): guarded one at a time, as
+    #: No-Duplication runs them, what a sample records then depends on
+    #: the polls before it, so its cells cannot be derived from other
+    #: cells (:mod:`repro.harness.derive`)
+    stateful_actions: bool = False
+
     def __init__(self, name: Optional[str] = None):
         self.profile = Profile(name or self.kind)
 

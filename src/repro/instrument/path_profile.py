@@ -127,6 +127,8 @@ class PathProfileInstrumentation(Instrumentation):
     """Ball–Larus path profiling over every instrumented function."""
 
     kind = "path-profile"
+    #: the path register lives across actions
+    stateful_actions = True
 
     def __init__(self, record_cost: int = 8):
         super().__init__()

@@ -55,7 +55,7 @@ checks it after every profiled run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class Trigger:
@@ -172,6 +172,17 @@ class CounterTrigger(Trigger):
             return True
         return False
 
+    def fires(self) -> Iterator[int]:
+        """The indices of the polls, counted from now, at which
+        :meth:`poll` would return True — its countdown, skipped from one
+        firing to the next instead of polled once per check (the
+        window ledger's fire sets, :mod:`repro.harness.derive`)."""
+        index = -1
+        while self.enabled:
+            index += self.counter
+            self.counter = self.interval
+            yield index
+
 
 class TimerTrigger(Trigger):
     """Sample-bit trigger set by the virtual timer interrupt.
@@ -254,6 +265,16 @@ class RandomizedCounterTrigger(Trigger):
             self.samples_triggered += 1
             return True
         return False
+
+    def fires(self) -> Iterator[int]:
+        """The indices of the polls, counted from now, at which
+        :meth:`poll` would return True (see
+        :meth:`CounterTrigger.fires`)."""
+        index = -1
+        while self.enabled:
+            index += self.counter
+            self.counter = self._next_interval()
+            yield index
 
 
 class BurstTrigger(Trigger):

@@ -235,6 +235,22 @@ _HEAD_COMPONENT = {
 
 _I4 = "    "
 
+#: Window-ledger entry kinds (:mod:`repro.harness.derive`): a CHECK's
+#: poll, a landing in the frame at a given depth (RETURN, HALT or a THROW
+#: unwind), and a fired GUARDED_INSTR with its action's cost.
+LEDGER_POLL, LEDGER_LAND, LEDGER_GUARD = 0, 1, 2
+
+#: The counters a window-ledger boundary snapshots, in entry order: the
+#: only ones that differ between a window's checking and duplicated
+#: copies.
+_LEDGER_SNAP = (
+    "_stats.instructions, _stats.cycles, _stats.backward_jumps,"
+    " _stats.instr_ops_executed, _stats.yieldpoints_executed"
+)
+
+#: Ledger entries logged between two folds, so the log stays bounded.
+_LEDGER_FOLD = 512
+
 #: source digest -> ``(code, const slots, name slots)`` segment template
 #: (process-wide: every segment of one shape, in any function of any
 #: program, is an instance of one template).
@@ -403,6 +419,11 @@ class _Emitter:
         self.ctx = f", {self.frames}" if self.ctx_on else ""
         prof = vm.profiler
         self.prof_on = prof is not None and prof.enabled
+        # The window ledger: a GUARDED_INSTR hook whenever one is
+        # attached, the frame boundaries only when its polls are CHECKs.
+        led = vm.ledger
+        self.led_on = led is not None
+        self.led_frames = self.led_on and led.frames
         self.oc_on = vm.stats.opcode_counts is not None
         cost_model = vm.cost_model
         self.penalty = cost_model.sample_transfer_penalty
@@ -685,6 +706,20 @@ class _Emitter:
             " _eng.thread.tid)",
         ]
 
+    def _ledger(self, ind: str, entry: str) -> List[str]:
+        """Log one window-ledger *entry*, folding the log when it is
+        full."""
+        return [
+            ind + f"_led({entry})",
+            ind + f"if len(_lg) >= {_LEDGER_FOLD}:",
+            ind + "    _lfold()",
+        ]
+
+    def _boundary(self, ind: str, kind: int, depth: str) -> List[str]:
+        """A window-ledger boundary: the window so far closes, and the
+        next opens in the frame at *depth*."""
+        return self._ledger(ind, f"({kind}, {depth}, {_LEDGER_SNAP})")
+
     def _hooks(self, ind: str, s: int, e: int) -> List[str]:
         """The observer lines of the head of segment ``[s, e)``, in the
         order both tiers keep: the profiler boundary, then the opcode
@@ -755,6 +790,8 @@ class _Emitter:
         ctx = self.ctx
         if op == _CHECK:
             E("_stats.checks_executed += 1")
+            if self.led_frames:
+                out.extend(self._boundary(ind, LEDGER_POLL, f"len({fs})"))
             E("if _poll():")
             E("    _stats.checks_taken += 1")
             E(f"    {cy} += {self.penalty}")
@@ -793,6 +830,10 @@ class _Emitter:
                 E(
                     f"    _rec.guarded_fired({cy}, _eng.thread.tid,"
                     f" {fn_name!r}, {pos(p)}{ctx})"
+                )
+            if self.led_on:
+                out.extend(
+                    self._ledger(ind + _I4, f"({LEDGER_GUARD}, {act}.cost)")
                 )
             self._execute(act, p, ind + _I4)
             if self.prof_on:
@@ -889,7 +930,13 @@ class _Emitter:
         elif op == _THROW:
             val = self._atomize(self._vpop())
             out.extend(self._save(ind))
-            E(f"return _eng._throw({val.expr}, {fn_name!r}, {pos(p)})")
+            throw = f"_eng._throw({val.expr}, {fn_name!r}, {pos(p)})"
+            if self.led_frames:
+                E(f"_r = {throw}")
+                out.extend(self._boundary(ind, LEDGER_LAND, f"len({fs})"))
+                E("return _r")
+            else:
+                E(f"return {throw}")
             return False
         elif op == _LOADFN or op == _REPLACEFN:
             self._canon()
@@ -1107,6 +1154,10 @@ class _SegmentEmitter(_Emitter):
                 emit("_stats.returns += 1")
                 emit("_fs = _eng.frames")
                 emit("_fs.pop()")
+                if self.led_frames:
+                    self.out.extend(
+                        self._boundary(_I4, LEDGER_LAND, "len(_fs)")
+                    )
                 emit("if not _fs:")
                 emit("    _th = _eng.thread")
                 emit("    _th.done = True")
@@ -1115,6 +1166,8 @@ class _SegmentEmitter(_Emitter):
                 emit(f"_fs[-1].stack.append({r.expr})")
                 emit(f"return {_REBIND}")
             elif op == _HALT:
+                if self.led_frames:
+                    self.out.extend(self._boundary(_I4, LEDGER_LAND, "0"))
                 emit("_th = _eng.thread")
                 emit("_th.done = True")
                 emit("_th.result = 0")
@@ -1350,6 +1403,10 @@ class FastEngine:
             ns["_rec"] = vm.recorder
         if vm.stats.opcode_counts is not None:
             ns["_oc"] = vm.stats.opcode_counts
+        if vm.ledger is not None:
+            ns["_led"] = vm.ledger.log.append
+            ns["_lg"] = vm.ledger.log
+            ns["_lfold"] = vm.ledger.fold
         prof = vm.profiler
         if prof is not None and prof.enabled:
             ns["_prof"] = prof

@@ -33,6 +33,7 @@ from repro.bytecode.program import Program
 from repro.errors import (
     BytecodeError,
     FuelExhaustedError,
+    ReproError,
     StackOverflowError,
     VerificationError,
     VMTrap,
@@ -116,6 +117,14 @@ class VM:
             costs nothing.  Profiling reads VM state but never writes
             it — ExecStats/events/profiles are bit-identical with or
             without a profiler attached.
+        ledger: a window ledger (:class:`repro.harness.derive.
+            WindowLedger`) that the fast tier's generated code logs each
+            window boundary into — CHECK and fired GUARDED_INSTR polls,
+            RETURN, HALT and THROW unwinds — so that a cell family's
+            counter cells can be derived instead of run.  Like the
+            recorder and profiler it is a compile-time decision: with no
+            ledger the generated code has no ledger lines.  The fast
+            engine is the only one that keeps a ledger.
     """
 
     def __init__(
@@ -130,6 +139,7 @@ class VM:
         engine: Optional[str] = None,
         recorder=None,
         profiler=None,
+        ledger=None,
     ):
         # Dynamic programs mutate their own function table as they run
         # (LOADFN/REPLACEFN install functions); execute a private copy
@@ -145,6 +155,12 @@ class VM:
         self.max_stack_depth = max_stack_depth
         self.recorder = recorder
         self.profiler = profiler
+        if ledger is not None and self.engine != "fast":
+            raise ReproError(
+                f"the window ledger is compiled into the fast engine "
+                f"only, not {self.engine!r}"
+            )
+        self.ledger = ledger
         self.stats = ExecStats(record_opcode_counts)
         self.output: List[Value] = []
         self.threads: List[GreenThread] = []

@@ -123,23 +123,34 @@ def test_each_cell_matches_a_solo_run(batch_results):
 
 def test_earlier_profiles_survive_later_cells(monkeypatch):
     """Each cell's profiles, as they stood when the cell returned, are
-    unchanged after the rest of its family has run."""
-    at_return = []
+    unchanged after the rest of its family has run. The three cells the
+    batch derives (compress's counter@7 at phases 0 and 3, and its
+    randomized@7, folded from its never and interval-1 runs) are never
+    run; every other cell runs once."""
+    at_return = {}
     original = ExperimentRunner._compute
 
-    def recording(self, spec, families):
-        result, record = original(self, spec, families)
-        at_return.append(
-            {name: dict(p.counts) for name, p in result.profiles.items()}
-        )
+    def recording(self, spec, families, **kwargs):
+        result, record = original(self, spec, families, **kwargs)
+        assert spec not in at_return
+        at_return[spec] = {
+            name: dict(p.counts) for name, p in result.profiles.items()
+        }
         return result, record
 
     monkeypatch.setattr(ExperimentRunner, "_compute", recording)
-    results = ExperimentRunner(cache=False, jobs=1).run_many(BATCH)
-    assert at_return == [
-        {name: dict(p.counts) for name, p in result.profiles.items()}
-        for result in results
-    ]
+    runner = ExperimentRunner(cache=False, jobs=1)
+    results = runner.run_many(BATCH)
+    derived = [BATCH[3], BATCH[5], BATCH[8]]
+    assert [spec for spec in BATCH if spec not in at_return] == derived
+    assert [
+        rec.label for rec in runner.cell_log if rec.source == "derived"
+    ] == [spec.describe() for spec in derived]
+    assert at_return == {
+        spec: {name: dict(p.counts) for name, p in result.profiles.items()}
+        for spec, result in zip(BATCH, results)
+        if spec not in derived
+    }
     profiles = [p for result in results for p in result.profiles.values()]
     assert len({id(p) for p in profiles}) == len(profiles)
 

@@ -41,6 +41,7 @@ UNUSED_BY_A_DEFAULT_CELL = (
     "repro.harness.tables",
     "repro.harness.sweeps",
     "repro.harness.parallel",
+    "repro.harness.derive",
     "repro.harness.baseline_cache",
     "multiprocessing",
 )

@@ -100,3 +100,28 @@ class TestTripwires:
             program, _CorruptingInstrumentation()
         )
         assert run_program(corrupt).value != run_program(program).value
+
+
+class TestTableIdentities:
+    def test_table3_call_edge_is_table2_entry_checks(self):
+        """A No-Duplication call-edge cell guards one action per method
+        entry, which costs what an entry check does: Table 3's call-edge
+        column and Table 2's entry% column are one measurement, in all
+        twelve rows."""
+        from repro.workloads.suite import workload_names
+
+        runner = ExperimentRunner(cache=False, jobs=1)
+        names = workload_names()
+        results = runner.run_many(
+            [
+                RunSpec(name, strategy, kinds)
+                for name in names
+                for strategy, kinds in (
+                    (Strategy.NO_DUPLICATION, ("call-edge",)),
+                    (Strategy.CHECKS_ONLY_ENTRY, ()),
+                )
+            ]
+        )
+        assert len(names) == 12
+        cycles = [result.cycles for result in results]
+        assert cycles[0::2] == cycles[1::2]

@@ -214,8 +214,11 @@ class TestOneKeepingPath:
         runner = ExperimentRunner(cache=False, jobs=jobs)
         interval_sweep(runner, "compress", (10, 100, 1000))
         assert computed == ["compress"]
+        # The interval-1 cell runs; intervals 10, 100 and 1000 are
+        # derived from its ledger and that of a never run the batch
+        # does not keep.
         assert [rec.source for rec in runner.cell_log] == (
-            ["baseline"] + ["serial"] * 4
+            ["baseline", "serial"] + ["derived"] * 3
         )
 
 
@@ -279,3 +282,51 @@ class TestTimingReport:
         assert all(
             not rec.source.startswith("pool:") for rec in runner.cell_log
         )
+
+
+#: The pool task, as the worker runs it when nothing goes wrong.
+_RUN_FAMILY = parallel._run_family
+
+
+def _die_with_db(specs):
+    """A pool task whose worker process dies when it is handed db's cell
+    family (module level, so the pool can send it by name)."""
+    if specs[0].workload == "db":
+        os._exit(1)
+    return _RUN_FAMILY(specs)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the forked workers inherit the dying task",
+)
+class TestAKilledWorker:
+    """A worker that dies holding a family ends the batch with an error
+    that names the family, and the CLI exits 1: the parent never waits
+    for a result that cannot come. Nothing here depends on timing."""
+
+    def test_ends_the_batch_with_an_error(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_run_family", _die_with_db)
+        specs = [
+            RunSpec(name, Strategy.FULL_DUPLICATION, ("call-edge",),
+                    trigger="counter", interval=100, scale=1)
+            for name in ("compress", "db", "jess")
+        ]
+        runner = ExperimentRunner(cache=False, jobs=2)
+        with pytest.raises(HarnessError, match="pool worker died") as err:
+            runner.run_many(specs)
+        assert specs[1].describe() in str(err.value)
+
+    def test_repro_tables_prints_the_error_and_exits_1(
+        self, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setattr(parallel, "_run_family", _die_with_db)
+        code = main(
+            ["tables", "table3", "--jobs", "2", "--no-cache", "--scale", "1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a pool worker died")
+        assert "db / no-duplication / call-edge" in err
