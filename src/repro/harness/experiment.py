@@ -964,14 +964,10 @@ class ExperimentRunner:
             if spec != never_side and spec != fired_side
         ]
         if reason is None:
-            # A recorded run costs about 0.57 of a run more, and a side
-            # that is not a cell of the batch a whole run.
-            cost = (
-                2 * _RECORDING_COST
-                + (never_side is None)
-                + (fired_side is None)
-            )
-            if len(derivable) <= cost:
+            # A recorded run costs about 0.57 of a run more, and a never
+            # run that is not a cell of the batch a whole run.
+            cost = 2 * _RECORDING_COST + (never_side is None)
+            if fired_side is None or len(derivable) <= cost:
                 reason = "few"
             elif never_side is None:
                 never_side = replace(
@@ -1022,14 +1018,9 @@ class ExperimentRunner:
             return reason
         fired_ledger = self._ledger(derivable, frames=not guarded)
         _count(notes, "harness.derive.recordings")
-        fired_spec = fired_side or replace(
-            firing[0], trigger="counter", interval=1, phase=0, seed=None
+        done[fired_side] = self._compute(
+            fired_side, families, ledger=fired_ledger
         )
-        cell = self._compute(fired_spec, families, ledger=fired_ledger)
-        if fired_side is not None:
-            done[fired_side] = cell
-        else:
-            _count(notes, "harness.derive.extra_runs")
         from repro.harness.derive import derive_stats
 
         derived = derive_stats(
@@ -1038,6 +1029,9 @@ class ExperimentRunner:
         )
         for spec in firing:
             index = derivable.index(spec)
+            if derived[index].instructions >= self.fuel:
+                # A run this long may have run out of fuel: run it.
+                continue
             done[spec] = self._derived(
                 spec, never, derived[index], fired_ledger.profiles(index),
                 certificate, families,

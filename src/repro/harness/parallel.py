@@ -157,6 +157,10 @@ def run_specs(
             except BrokenProcessPool:
                 lost.append(task[0].describe())
                 continue
+            except BaseException:
+                # A family's own error ends the batch: start no more.
+                pool.shutdown(cancel_futures=True)
+                raise
             by_index.update(zip(indices, cells))
             for key, amount in counts.items():
                 notes[key] = notes.get(key, 0) + amount
