@@ -72,9 +72,10 @@ DEFAULT_FUEL = 100_000_000
 #: polls (the timer fires by cycles).
 _COUNTDOWNS = ("counter", "randomized")
 
-#: What recording a run's window ledger costs, in plain runs: measured
-#: over 36 family pairs of ``repro tables all`` (docs/HARNESS.md).
-_RECORDING_COST = 0.57
+#: What recording a run's window ledger adds to the run, in plain runs:
+#: 21% over the never and interval-1 runs of the 36 single-threaded
+#: families of 9 workloads x 4 strategies (docs/HARNESS.md).
+_RECORDING_COST = 0.21
 
 
 def _instrument_class(name: str) -> Callable[[], Instrumentation]:
@@ -964,8 +965,8 @@ class ExperimentRunner:
             if spec != never_side and spec != fired_side
         ]
         if reason is None:
-            # A recorded run costs about 0.57 of a run more, and a never
-            # run that is not a cell of the batch a whole run.
+            # A recorded run costs about a fifth of a run more, and a
+            # never run that is not a cell of the batch a whole run.
             cost = 2 * _RECORDING_COST + (never_side is None)
             if fired_side is None or len(derivable) <= cost:
                 reason = "few"
