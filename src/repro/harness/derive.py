@@ -23,11 +23,11 @@ boundaries is charged to an *owner* poll:
 A derived cell whose trigger fires at the polls F has the never-side
 run's counters plus, over the owners in F, the interval-1 window minus
 the never window, for the five counters a window's copies differ in
-(:data:`WINDOW_COUNTERS`); ``checks_taken`` and ``guarded_checks_taken``
-are the fired polls of each kind, and ``timer_ticks`` follows from the
-cycles. Its profiles are the interval-1 run's instrumentation events of
-the owners in F, replayed in execution order, so even their key order
-is a real run's. Which polls fire is found from a fresh copy of the
+(:data:`repro.vm.engine.LEDGER_COUNTERS`); ``checks_taken`` and
+``guarded_checks_taken`` are the fired polls of each kind, and
+``timer_ticks`` follows from the cycles. Its profiles are the
+interval-1 run's instrumentation events of the owners in F, replayed in
+execution order, so even their key order is a real run's. Which polls fire is found from a fresh copy of the
 cell's trigger (:meth:`~repro.sampling.triggers.CounterTrigger.fires`).
 
 The ledger folds its log every few hundred entries into sums per *fire
@@ -45,18 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import HarnessError
 from repro.profiles.profile import Profile
 from repro.sampling.triggers import Trigger
-from repro.vm.engine import LEDGER_GUARD, LEDGER_POLL
+from repro.vm.engine import LEDGER_COUNTERS, LEDGER_GUARD, LEDGER_POLL
 from repro.vm.tracing import ExecStats
-
-#: The counters a ledger boundary snapshots, in entry order: the only
-#: ones in which a window's checking and duplicated copies differ.
-WINDOW_COUNTERS = (
-    "instructions",
-    "cycles",
-    "backward_jumps",
-    "instr_ops_executed",
-    "yieldpoints_executed",
-)
 
 #: Ledger entry kind of an instrumentation event (the engine's kinds are
 #: 0-2).
@@ -228,7 +218,7 @@ class WindowLedger:
     def windows(self) -> Tuple[List[List[int]], List[int]]:
         """Per derived cell: the window counters charged to the owners
         it fires, and the number of polls it fires."""
-        windows = [[0] * len(WINDOW_COUNTERS) for _ in range(self.cells)]
+        windows = [[0] * len(LEDGER_COUNTERS) for _ in range(self.cells)]
         fired = [0] * self.cells
         for mask, window in self._sums.items():
             for cell in self._cells_of(mask):
@@ -283,13 +273,13 @@ def derive_stats(
     never_windows = (
         never_ledger.windows()[0]
         if never_ledger is not None
-        else [[0] * len(WINDOW_COUNTERS)] * fired_ledger.cells
+        else [[0] * len(LEDGER_COUNTERS)] * fired_ledger.cells
     )
     base = never.as_dict()
     derived = []
     for cell, period in enumerate(timer_periods):
         stats = ExecStats.from_dict(base)
-        for k, name in enumerate(WINDOW_COUNTERS):
+        for k, name in enumerate(LEDGER_COUNTERS):
             setattr(
                 stats,
                 name,

@@ -868,7 +868,9 @@ class ExperimentRunner:
         sampled = [spec for spec in specs if spec.trigger in _COUNTDOWNS]
         reason = self._refusal(specs, sampled)
         if reason not in ("engine", "observer"):
-            reason = self._derive(specs, sampled, reason, families, done, notes)
+            reason = self._derive(
+                specs, sampled, reason, families, done, notes
+            )
         if reason is not None:
             _count(notes, f"harness.derive.refused.{reason}")
         for spec in specs:
@@ -993,7 +995,9 @@ class ExperimentRunner:
             reason = "threads"
         if reason is None and any(never.profiles.values()):
             reason = "instrumentation"
-        polls = never.stats.checks_executed + never.stats.guarded_checks_executed
+        polls = (
+            never.stats.checks_executed + never.stats.guarded_checks_executed
+        )
         firing: List[RunSpec] = []
         for spec in sampled:
             if spec in done or (

@@ -243,10 +243,14 @@ LEDGER_POLL, LEDGER_LAND, LEDGER_GUARD = 0, 1, 2
 #: The counters a window-ledger boundary snapshots, in entry order: the
 #: only ones that differ between a window's checking and duplicated
 #: copies.
-_LEDGER_SNAP = (
-    "_stats.instructions, _stats.cycles, _stats.backward_jumps,"
-    " _stats.instr_ops_executed, _stats.yieldpoints_executed"
+LEDGER_COUNTERS = (
+    "instructions",
+    "cycles",
+    "backward_jumps",
+    "instr_ops_executed",
+    "yieldpoints_executed",
 )
+_LEDGER_SNAP = ", ".join(f"_stats.{name}" for name in LEDGER_COUNTERS)
 
 #: Ledger entries logged between two folds, so the log stays bounded.
 _LEDGER_FOLD = 512
