@@ -6,9 +6,10 @@ Every benchmark in ``benchmarks/``, every table generator in
 program goes through :class:`ExperimentRunner`, so they all share
 baseline caching and the always-on tripwires: semantic preservation,
 Property 1, the static audit and the cost-certificate reconciliation.
-The baseline cache, the perf ledger, the worker pool, the exporters and
-the instrumentation kinds a run does not use are imported only when a
-run asks for them (docs/HARNESS.md, "Cold start").
+The baseline cache, the perf ledger, the worker pool, the derived-cell
+fold, the exporters and the instrumentation kinds a run does not use
+are imported only when a run asks for them (docs/HARNESS.md, "Cold
+start").
 """
 
 from __future__ import annotations

@@ -401,26 +401,18 @@ def table5(
 
     # Batch 1: the timer runs (periods derive from the baselines, which
     # run serially but hit the persistent cache).
-    timer_runs = dict(
-        zip(
-            suite,
-            runner.run_many(
-                [
-                    _table5_spec(
-                        name,
-                        scale,
-                        trigger="timer",
-                        timer_period=max(
-                            400,
-                            runner.baseline_cycles(name, scale)
-                            // target_samples,
-                        ),
-                    )
-                    for name in suite
-                ]
+    timer_specs = [
+        _table5_spec(
+            name,
+            scale,
+            trigger="timer",
+            timer_period=max(
+                400, runner.baseline_cycles(name, scale) // target_samples
             ),
         )
-    )
+        for name in suite
+    ]
+    timer_runs = dict(zip(suite, runner.run_many(timer_specs)))
     # Batch 2: the perfect profiles and each workload's counter grid,
     # matched to its timer run's sample count, in one batch, so each
     # family's interval-1 cell records the windows its grid is derived
@@ -437,17 +429,16 @@ def table5(
         )
         for name in suite
     }
-    perfect_specs = [
-        _table5_spec(name, scale, trigger="counter", interval=1)
-        for name in suite
-    ]
-    batch = iter(
+    grid_runs = iter(
         runner.run_many(
-            perfect_specs + [spec for grid in grids.values() for spec in grid]
+            [
+                _table5_spec(name, scale, trigger="counter", interval=1)
+                for name in suite
+            ]
+            + [spec for grid in grids.values() for spec in grid]
         )
     )
-    perfects = {name: next(batch) for name in suite}
-    grid_runs = batch
+    perfects = {name: next(grid_runs) for name in suite}
 
     rows: List[List] = []
     for name in suite:
