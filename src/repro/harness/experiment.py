@@ -279,7 +279,9 @@ class ExperimentRunner:
     so a repeat is always identical), baselines are additionally cached
     on disk when a persistent cache is configured, and batches of cells
     can be fanned out over worker processes via :meth:`run_many`, which
-    transforms each cell family once (docs/HARNESS.md, "Cell families").
+    transforms each cell family once and derives the counter cells it
+    can from two recorded runs (docs/HARNESS.md, "Cell families" and
+    "Derived cells").
 
     Args:
         cost_model: shared cycle model (one per runner so baselines and
