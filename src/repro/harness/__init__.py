@@ -12,7 +12,7 @@ __all__ = lazy_exports(__name__, {
         "BaselineCache", "baseline_key", "program_fingerprint",
         "cost_model_fingerprint", "default_cache_dir",
     ),
-    "parallel": ("effective_jobs", "run_specs"),
+    "parallel": ("effective_jobs", "run_families"),
     "formatting": ("render_table", "mean"),
     "tables": (
         "TableResult", "table1", "table2", "table3", "table4", "table5",

@@ -158,15 +158,34 @@ class RunSpec:
         )
 
     def describe(self) -> str:
-        parts = [self.workload, self.strategy.value]
+        """The cell's label: two specs that can run differently never
+        share one. A field at its default is not spelled, and the seed
+        only where the randomized trigger uses it."""
+        strategy = self.strategy.value
         if self.plan is not None:
-            parts[1] = f"planned[{len(self.plan)}]/{self.strategy.value}"
-        parts.append("+".join(self.instrumentation) or "none")
+            digest = hashlib.sha256(repr(self.plan).encode("utf-8"))
+            strategy = (
+                f"planned[{len(self.plan)}:{digest.hexdigest()[:8]}]/"
+                + strategy
+            )
+        parts = [
+            self.workload + ("" if self.scale is None else f"@{self.scale}"),
+            strategy,
+            "+".join(self.instrumentation) or "none",
+        ]
         if self.trigger != "never":
             parts.append(
                 f"{self.trigger}"
                 + (f"@{self.interval}" if self.interval else "")
             )
+        if self.phase:
+            parts.append(f"phase={self.phase}")
+        if self.seed is not None and self.trigger == "randomized":
+            parts.append(f"seed={self.seed}")
+        if self.timer_period != 100_000:
+            parts.append(f"period={self.timer_period}")
+        if self.sample_iterations != 1:
+            parts.append(f"iterations={self.sample_iterations}")
         if self.yieldpoint_opt:
             parts.append("yp-opt")
         return " / ".join(parts)
@@ -269,7 +288,6 @@ class CellRecord:
     seconds: float
     #: "serial" | "pool:<pid>" | "derived" | "baseline" | "baseline-cache"
     source: str
-    baseline_cache_hit: bool = False
 
 
 class ExperimentRunner:
@@ -353,9 +371,13 @@ class ExperimentRunner:
 
     The runner keeps a :class:`MetricsRegistry` in :attr:`metrics` for
     its own ``harness.*`` counters (cells, families, baseline-cache
-    traffic including deltas reported back by pool workers), with
-    telemetry on or off. A cell's VM metrics stay in its manifest.
+    traffic), with telemetry on or off. A cell's VM metrics stay in its
+    manifest.
     """
+
+    #: Where the cells this runner computes are logged as computed; a
+    #: pool worker's copy of the runner says ``pool:<pid>``.
+    _source = "serial"
 
     def __init__(
         self,
@@ -423,33 +445,34 @@ class ExperimentRunner:
         program = workload.compile(scale)
         started = time.perf_counter()
         result: Optional[VMResult] = None
-        disk_key: Optional[str] = None
-        cache_before = self._cache_counts()
-        if self.baseline_cache is not None:
+        cache = self.baseline_cache
+        if cache is not None:
             from repro.harness.baseline_cache import baseline_key
 
             disk_key = baseline_key(
                 program, self.cost_model, self.fuel, 100_000
             )
-            result = self.baseline_cache.get(disk_key)
+            result = cache.get(disk_key)
+            self.metrics.counter(
+                "harness.baseline_cache."
+                + ("misses" if result is None else "hits")
+            ).inc()
         from_disk = result is not None
         if result is None:
             result = VM(
                 program, cost_model=self.cost_model, fuel=self.fuel,
                 timer_period=100_000, engine=self.engine,
             ).run()
-            if self.baseline_cache is not None and disk_key is not None:
-                self.baseline_cache.put(
-                    disk_key, result, label=f"{workload_name}/scale={scale}"
-                )
-        self._record_cache_counts(self._cache_delta(cache_before))
+            if cache is not None and cache.put(
+                disk_key, result, label=f"{workload_name}/scale={scale}"
+            ):
+                self.metrics.counter("harness.baseline_cache.stores").inc()
         self.cell_log.append(
             CellRecord(
                 label=f"baseline:{workload_name}"
                 + (f"@{scale}" if scale is not None else ""),
                 seconds=time.perf_counter() - started,
                 source="baseline-cache" if from_disk else "baseline",
-                baseline_cache_hit=from_disk,
             )
         )
         self._baselines[key] = (program, result)
@@ -459,31 +482,6 @@ class ExperimentRunner:
         return self.baseline(workload_name, scale)[1].stats.cycles
 
     # -- metrics plumbing ----------------------------------------------------
-
-    _CACHE_COUNTERS = ("hits", "misses", "stores")
-
-    def _cache_counts(self) -> Tuple[int, ...]:
-        cache = self.baseline_cache
-        if cache is None:
-            return (0, 0, 0)
-        return tuple(
-            getattr(cache.stats, name) for name in self._CACHE_COUNTERS
-        )
-
-    def _cache_delta(self, before: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Baseline-cache hits, misses and stores since *before*."""
-        return tuple(a - b for a, b in zip(self._cache_counts(), before))
-
-    def _record_cache_counts(self, counts: Tuple[int, ...]) -> None:
-        """Fold baseline-cache hits, misses and stores into the
-        registry: this runner's own, or those a pool worker reports
-        (its cache handle is not ours, so its activity is only visible
-        through these counts)."""
-        for name, amount in zip(self._CACHE_COUNTERS, counts):
-            if amount > 0:
-                self.metrics.counter(
-                    f"harness.baseline_cache.{name}"
-                ).inc(amount)
 
     def _ledger_append(self, run_result: RunResult) -> None:
         """One perf-ledger record per computed cell (parent-side only:
@@ -533,20 +531,6 @@ class ExperimentRunner:
         call is a batch of one cell (:meth:`run_many`).
         """
         return self.run_many([spec])[0]
-
-    def _family(
-        self, spec: RunSpec, program: Program, families: Dict[tuple, _Family]
-    ) -> _Family:
-        """*spec*'s family from the batch map, transformed, verified and
-        audited on first use; its instrumentations are reset, so the
-        cell about to run records into empty profiles."""
-        key = spec.family_key()
-        family = families.get(key)
-        if family is None:
-            family = families[key] = self._transform(spec, program)
-        for instrumentation in family.instrumentations:
-            instrumentation.reset()
-        return family
 
     def _transform(self, spec: RunSpec, program: Program) -> _Family:
         """Instrument, transform, verify and audit one family's program."""
@@ -619,19 +603,20 @@ class ExperimentRunner:
     def _compute(
         self,
         spec: RunSpec,
-        families: Dict[tuple, _Family],
+        family: _Family,
         ledger: Optional[WindowLedger] = None,
     ) -> Tuple[RunResult, CellRecord]:
-        """Compute one cell: transform its family (looked up in, and
-        added to, the batch map *families*), run, check, and build the
-        manifest. Of the runner's state it touches only the baselines
-        (with their log records and cache counts), so a pool worker's
-        copy of the runner computes what the parent would; :meth:`_keep`
-        keeps the cell. A *ledger* records the run's windows for the
-        cells that :meth:`_compute_family` derives."""
+        """Compute one cell on its *family*'s program: run, check, and
+        build the manifest. Of the runner's state it reads the batch's
+        baselines, so a pool worker's copy of the runner computes what
+        the parent would; :meth:`_keep` keeps the cell. A *ledger*
+        records the run's windows for the cells that
+        :meth:`_compute_family` derives."""
         cell_started = time.perf_counter()
-        program, base_result = self.baseline(spec.workload, spec.scale)
-        family = self._family(spec, program, families)
+        base_result = self.baseline(spec.workload, spec.scale)[1]
+        # The cell about to run records into empty profiles.
+        for instrumentation in family.instrumentations:
+            instrumentation.reset()
         transformed = family.program
         audit_report = _relabeled(family.audit, spec.describe())
 
@@ -796,7 +781,7 @@ class ExperimentRunner:
                 stats=result.stats.as_dict(),
                 metrics=recorder.metrics.snapshot(),
                 telemetry=recorder.summary(),
-                source="serial",
+                source=self._source,
                 analysis={
                     "ok": audit_report.ok,
                     "errors": audit_report.count(Severity.ERROR),
@@ -810,7 +795,9 @@ class ExperimentRunner:
                 profiling=profile_payload or {},
                 plan=_plan_section(spec),
             )
-        return run_result, CellRecord(spec.describe(), cell_seconds, "serial")
+        return run_result, CellRecord(
+            spec.describe(), cell_seconds, self._source
+        )
 
     def _verify(
         self,
@@ -853,11 +840,14 @@ class ExperimentRunner:
     # -- cell families ------------------------------------------------------------
 
     def _compute_family(
-        self, specs: Sequence[RunSpec], families: Dict[tuple, _Family]
+        self, specs: Sequence[RunSpec]
     ) -> Tuple[List[Tuple[RunResult, CellRecord]], Dict[str, int]]:
         """Compute one cell family's cells, returned in *specs* order,
         with the ``harness.derive.*`` counts they add to :attr:`metrics`.
-        The serial loop and the pool's task both come here.
+        The serial loop and the pool's task both come here, once the
+        batch holds the family's baseline. The family's program is
+        transformed, verified and audited once, here, and dropped when
+        the call returns.
 
         Counter and randomized cells are derived instead of run where
         that is exact (docs/HARNESS.md, "Derived cells"): a cell whose
@@ -866,19 +856,23 @@ class ExperimentRunner:
         folded from the window ledgers of the never-side run and the
         interval-1 run (:mod:`repro.harness.derive`). A family that
         does not derive from ledgers counts its reason."""
+        head = specs[0]
+        family = self._transform(
+            head, self.baseline(head.workload, head.scale)[0]
+        )
         notes: Dict[str, int] = {}
         done: Dict[RunSpec, Tuple[RunResult, CellRecord]] = {}
         sampled = [spec for spec in specs if spec.trigger in _COUNTDOWNS]
         reason = self._refusal(specs, sampled)
         if reason not in ("engine", "observer"):
             reason = self._derive(
-                specs, sampled, reason, families, done, notes
+                specs, sampled, reason, family, done, notes
             )
         if reason is not None:
             _count(notes, f"harness.derive.refused.{reason}")
         for spec in specs:
             if spec not in done:
-                done[spec] = self._compute(spec, families)
+                done[spec] = self._compute(spec, family)
         return [done[spec] for spec in specs], notes
 
     def _refusal(
@@ -947,7 +941,7 @@ class ExperimentRunner:
         specs: Sequence[RunSpec],
         sampled: List[RunSpec],
         reason: Optional[str],
-        families: Dict[tuple, _Family],
+        family: _Family,
         done: Dict[RunSpec, Tuple[RunResult, CellRecord]],
         notes: Dict[str, int],
     ) -> Optional[str]:
@@ -986,13 +980,13 @@ class ExperimentRunner:
         if reason is None and not guarded:
             ledger = self._ledger(derivable, frames=True)
             _count(notes, "harness.derive.recordings")
-        cell = self._compute(never_side, families, ledger=ledger)
+        cell = self._compute(never_side, family, ledger=ledger)
         if never_side in specs:
             done[never_side] = cell
         else:
             _count(notes, "harness.derive.extra_runs")
         never = cell[0]
-        certificate = families[head.family_key()].certificate
+        certificate = family.certificate
         threaded = never.stats.threads_spawned > 1
         if reason is None and threaded:
             reason = "threads"
@@ -1017,7 +1011,7 @@ class ExperimentRunner:
                     for name, profile in never.profiles.items()
                 }
                 done[spec] = self._derived(
-                    spec, never, stats, profiles, certificate, families
+                    spec, never, stats, profiles, certificate, family
                 )
                 _count(notes, "harness.derive.cells")
             elif spec != fired_side:
@@ -1027,7 +1021,7 @@ class ExperimentRunner:
         fired_ledger = self._ledger(derivable, frames=not guarded)
         _count(notes, "harness.derive.recordings")
         done[fired_side] = self._compute(
-            fired_side, families, ledger=fired_ledger
+            fired_side, family, ledger=fired_ledger
         )
         from repro.harness.derive import derive_stats
 
@@ -1042,7 +1036,7 @@ class ExperimentRunner:
                 continue
             done[spec] = self._derived(
                 spec, never, derived[index], fired_ledger.profiles(index),
-                certificate, families,
+                certificate, family,
             )
             _count(notes, "harness.derive.cells")
         return None
@@ -1062,13 +1056,12 @@ class ExperimentRunner:
         stats: ExecStats,
         profiles: Dict[str, Profile],
         certificate: CostCertificate,
-        families: Dict[tuple, _Family],
+        family: _Family,
     ) -> Tuple[RunResult, CellRecord]:
         """A derived cell, checked as a run cell is: its counters hold
         to Property 1 and to the never-side run's certificate. Its value
         is the never-side run's, and it spent no time in the VM."""
         started = time.perf_counter()
-        family = families[spec.family_key()]
         base_stats = self.baseline(spec.workload, spec.scale)[1].stats
         self._verify(spec, stats, base_stats, certificate, family.dynamic)
         result = RunResult(
@@ -1088,12 +1081,9 @@ class ExperimentRunner:
 
     def _keep(self, result: RunResult, record: CellRecord) -> None:
         """Keep one computed cell, wherever it ran: memoize it (the
-        memoized result is the one store of its manifest and profile)
-        and set its manifest's source, count it, append it to the
-        ledger and log it."""
+        memoized result is the one store of its manifest and profile),
+        count it, append it to the ledger and log it."""
         self._run_memo[result.spec] = result
-        if result.manifest is not None:
-            result.manifest.source = record.source
         self.metrics.counter("harness.audit.cells").inc()
         if result.audit.findings:
             self.metrics.counter("harness.audit.findings").inc(
@@ -1113,49 +1103,54 @@ class ExperimentRunner:
         """Run every spec; the returned list matches *specs*
         positionally.
 
-        The batch computes one cell family (:meth:`RunSpec.family_key`)
-        at a time (:meth:`_compute_family`): its cells share the
+        The batch first runs the baseline of every cell family
+        (:meth:`RunSpec.family_key`) it has to compute, here in the
+        calling process, each once. It then computes one family at a
+        time (:meth:`_compute_family`): its cells share the
         instrumented, verified and audited program, which is dropped
         when the family is done, and its counter cells may be derived
         from two recorded runs. When the uncomputed cells span two or
         more families and the runner has more than one job, the
-        families run on worker processes, one task each. Cells are
-        deterministic and kept in batch order, so the outcome is
-        bit-identical to a serial loop regardless of the worker count;
+        families run on worker processes, one task each, which adopt
+        the runner with the batch's baselines. Cells are deterministic
+        and kept in batch order by one loop, so the results, manifests,
+        ``harness.*`` counters and cell log are a serial loop's at any
+        worker count (only a pooled cell's source says ``pool:<pid>``);
         only wall time changes.
         """
         pending = list(
             dict.fromkeys(spec for spec in specs if spec not in self._run_memo)
         )
         self.memo_hits += len(specs) - len(pending)
-        groups = family_groups(pending)
-        if groups:
+        groups: Dict[tuple, List[RunSpec]] = {}
+        for spec in pending:
+            groups.setdefault(spec.family_key(), []).append(spec)
+        families = list(groups.values())
+        if families:
             self.metrics.counter("harness.transform.families").inc(
-                len(groups)
+                len(families)
             )
         jobs = 1
-        if len(groups) > 1:
+        if len(families) > 1:
             from repro.harness.parallel import effective_jobs
 
             jobs = effective_jobs(self.jobs)
-        notes: Dict[str, int] = {}
+        for family in families:
+            self.baseline(family[0].workload, family[0].scale)
         if jobs > 1:
-            from repro.harness.parallel import run_specs
+            from repro.harness.parallel import run_families
 
-            cells, notes = run_specs(self, pending, groups, jobs)
-            for result, record, cache_counts in cells:
-                self._record_cache_counts(cache_counts)
-                self._keep(result, record)
+            computed = run_families(self, families, jobs)
         else:
-            computed: Dict[RunSpec, Tuple[RunResult, CellRecord]] = {}
-            for indices in groups:
-                family = [pending[i] for i in indices]
-                cells, counts = self._compute_family(family, {})
-                computed.update(zip(family, cells))
-                for key, amount in counts.items():
-                    _count(notes, key, amount)
-            for spec in pending:
-                self._keep(*computed[spec])
+            computed = map(self._compute_family, families)
+        cells: Dict[RunSpec, Tuple[RunResult, CellRecord]] = {}
+        notes: Dict[str, int] = {}
+        for family, (family_cells, counts) in zip(families, computed):
+            cells.update(zip(family, family_cells))
+            for key, amount in counts.items():
+                _count(notes, key, amount)
+        for spec in pending:
+            self._keep(*cells[spec])
         for key, amount in sorted(notes.items()):
             self.metrics.counter(key).inc(amount)
         return [self._run_memo[spec] for spec in specs]
@@ -1164,20 +1159,15 @@ class ExperimentRunner:
 
     def timing_report(self, top: int = 15) -> str:
         """Human-readable per-cell timing / cache-hit accounting."""
-        computed = [rec for rec in self.cell_log]
+        computed = self.cell_log
         rows = [
-            [
-                rec.label,
-                rec.seconds * 1000.0,
-                rec.source,
-                "hit" if rec.baseline_cache_hit else "-",
-            ]
+            [rec.label, rec.seconds * 1000.0, rec.source]
             for rec in sorted(
                 computed, key=lambda rec: -rec.seconds
             )[:top]
         ]
         text = render_table(
-            ["cell", "ms", "source", "baseline-cache"],
+            ["cell", "ms", "source"],
             rows,
             title=f"Harness timing: {top} slowest of "
             f"{len(computed)} computed cells",
@@ -1222,12 +1212,13 @@ class ExperimentRunner:
                 )
             )
         if self.baseline_cache is not None:
-            # Sourced from the metrics registry, not the cache handle:
-            # the registry also accumulates the deltas pool workers
-            # report back, which the parent's handle never sees.
+            # Sourced from this runner's registry, not the cache handle,
+            # which another runner may share. Every baseline of a batch
+            # runs in this process, so the counts are the same at any
+            # --jobs.
             hits, misses, stores = (
                 self._metric_value(f"harness.baseline_cache.{name}")
-                for name in self._CACHE_COUNTERS
+                for name in ("hits", "misses", "stores")
             )
             lines.append(
                 f"  baseline cache [{self.baseline_cache.directory}]: "
@@ -1408,15 +1399,6 @@ COMPACTION_MATRIX_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy.PARTIAL_DUPLICATION,
     Strategy.NO_DUPLICATION,
 )
-
-
-def family_groups(specs: Sequence[RunSpec]) -> List[List[int]]:
-    """The indices of *specs* by cell family, families in order of
-    first appearance."""
-    groups: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(spec.family_key(), []).append(index)
-    return list(groups.values())
 
 
 def _count(notes: Dict[str, int], key: str, amount: int = 1) -> None:

@@ -7,21 +7,26 @@ that :meth:`repro.harness.ExperimentRunner.run_many` fans a batch out
 over when its uncomputed cells span two or more cell families and the
 runner has more than one job:
 
+* the batch runs the baseline of every family it computes in the
+  parent first, each once (:meth:`~repro.harness.ExperimentRunner.
+  run_many`), so no worker runs a baseline or touches the baseline
+  cache;
 * each worker adopts the parent's :class:`ExperimentRunner` in its
   initializer — inherited under ``fork``, pickled under ``spawn`` — so
-  every runner option reaches the workers with no list to keep, and
-  workers reuse the baselines the parent already holds (a shared
-  baseline cache directory spares the rest). The worker drops its
-  ledger: the parent keeps every cell, so only it appends;
+  every runner option and the batch's baselines reach the workers with
+  no list to keep. The worker drops its ledger: the parent keeps every
+  cell, so only it appends;
 * cells are dispatched one *cell family* per task
   (:meth:`~repro.harness.RunSpec.family_key`): the worker *computes*
   the family as the serial loop does — on one shared transformed
-  program, deriving its counter cells where it can — and ships each
-  cell back with its log record and baseline-cache deltas, and the
-  family's derivation counts. The parent *keeps* them in batch order
-  through the same step as a serial cell, so the caller sees the exact
-  list, manifests, counters and cell log it would get from a serial
-  loop;
+  program, deriving its counter cells where it can — and the task
+  returns what :meth:`~repro.harness.ExperimentRunner._compute_family`
+  returns, the family's cells with their log records and its
+  derivation counts. The parent *keeps* them in batch order in the
+  same loop as serial cells, so the caller gets the list, manifests,
+  counters and cell log of a serial loop, a pooled cell's source
+  (``pool:<pid>``) aside. ``tests/test_cell_families.py`` and
+  ``tests/test_parallel_harness.py`` compare them;
 * every cell is seeded deterministically from its spec content
   (:func:`~repro.harness.experiment.cell_seed`), never from worker
   identity, scheduling order, or wall clock — the same spec produces
@@ -40,7 +45,7 @@ leaving the parent waiting for a result that will never come.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import HarnessError
 
@@ -49,9 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         CellRecord, ExperimentRunner, RunResult, RunSpec,
     )
 
-    #: A cell computed by a worker: its result, its log record, and the
-    #: baseline-cache (hits, misses, stores) it caused in the worker.
-    PooledCell = Tuple[RunResult, CellRecord, Tuple[int, ...]]
+    #: What computing one cell family gives: its cells, each with its
+    #: log record, and its ``harness.derive.*`` counts.
+    FamilyCells = Tuple[List[Tuple[RunResult, CellRecord]], Dict[str, int]]
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -84,34 +89,20 @@ _WORKER_RUNNER: Optional["ExperimentRunner"] = None
 
 
 def _init_worker(runner: "ExperimentRunner") -> None:
-    """Adopt the parent's runner. Its ledger goes, so only the parent
-    appends: it keeps every cell a worker computes."""
+    """Adopt the parent's runner, with the batch's baselines. Its
+    ledger goes, so only the parent appends: it keeps every cell a
+    worker computes. The cells it computes are logged as this
+    worker's."""
     global _WORKER_RUNNER
     runner.ledger = None
+    runner._source = f"pool:{os.getpid()}"
     _WORKER_RUNNER = runner
 
 
-def _run_family(
-    specs: List["RunSpec"],
-) -> Tuple[List["PooledCell"], Dict[str, int]]:
-    """One pool task: a cell family's cells, in order, computed as the
-    serial loop computes them (:meth:`ExperimentRunner._compute_family`),
-    with its ``harness.derive.*`` counts. Each cell comes back with its
-    log record and the baseline-cache hits, misses and stores it caused
-    here: the family's, on its first cell."""
-    runner = _WORKER_RUNNER
-    before = runner._cache_counts()
-    cells, notes = runner._compute_family(specs, {})
-    family_counts = runner._cache_delta(before)
-    source = f"pool:{os.getpid()}"
-    pooled = []
-    for index, (result, record) in enumerate(cells):
-        cache_counts = family_counts if index == 0 else (0, 0, 0)
-        if record.source == "serial":
-            record.source = source
-        record.baseline_cache_hit = cache_counts[0] > 0
-        pooled.append((result, record, cache_counts))
-    return pooled, notes
+def _run_family(specs: List["RunSpec"]) -> "FamilyCells":
+    """One pool task: a cell family computed as the serial loop
+    computes it (:meth:`ExperimentRunner._compute_family`)."""
+    return _WORKER_RUNNER._compute_family(specs)
 
 
 def _pool_context():
@@ -123,16 +114,15 @@ def _pool_context():
     )
 
 
-def run_specs(
+def run_families(
     runner: "ExperimentRunner",
-    specs: Sequence["RunSpec"],
-    groups: List[List[int]],
+    families: List[List["RunSpec"]],
     jobs: int,
-) -> Tuple[List[PooledCell], Dict[str, int]]:
-    """Compute *specs* on *jobs* worker processes that adopt *runner*,
-    one task per cell family (*groups* holds each family's indices into
-    *specs*), and return the cells in *specs* order with the families'
-    summed ``harness.derive.*`` counts. The caller keeps the cells.
+) -> List["FamilyCells"]:
+    """Compute each cell family of *families* on *jobs* worker
+    processes that adopt *runner*, one task per family, and return what
+    each task returned, in *families* order. The caller keeps the
+    cells.
 
     A worker that dies mid-task breaks the pool; that ends the batch
     with a :class:`HarnessError` naming the families left unfinished.
@@ -140,34 +130,28 @@ def run_specs(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    tasks = [[specs[i] for i in indices] for indices in groups]
-    by_index: Dict[int, PooledCell] = {}
-    notes: Dict[str, int] = {}
+    computed: List["FamilyCells"] = []
+    lost = []
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
+        max_workers=min(jobs, len(families)),
         mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(runner,),
     ) as pool:
-        futures = [pool.submit(_run_family, task) for task in tasks]
-        lost = []
-        for indices, task, future in zip(groups, tasks, futures):
+        futures = [pool.submit(_run_family, family) for family in families]
+        for family, future in zip(families, futures):
             try:
-                cells, counts = future.result()
+                computed.append(future.result())
             except BrokenProcessPool:
-                lost.append(task[0].describe())
-                continue
+                lost.append(family[0].describe())
             except BaseException:
                 # A family's own error ends the batch: start no more.
                 pool.shutdown(cancel_futures=True)
                 raise
-            by_index.update(zip(indices, cells))
-            for key, amount in counts.items():
-                notes[key] = notes.get(key, 0) + amount
     if lost:
         raise HarnessError(
             "a pool worker died before it finished the cell famil"
             + ("y of " if len(lost) == 1 else "ies of ")
             + "; ".join(lost)
         )
-    return [by_index[index] for index in range(len(specs))], notes
+    return computed

@@ -312,8 +312,8 @@ class SpoolReader:
     Parses every epoch line across the segment files in index order. A
     trailing line that fails to parse — the signature of a crash or
     kill mid-write — sets :attr:`truncated` and serves the parsed
-    prefix; a malformed line anywhere else raises
-    :class:`~repro.errors.ReproError`.
+    prefix; a malformed line anywhere else, or a line that is not a
+    JSON object, raises :class:`~repro.errors.ReproError`.
     """
 
     def __init__(self, path: Union[str, pathlib.Path]):
@@ -348,14 +348,19 @@ class SpoolReader:
                     continue
                 last_line = last_segment and j == len(body) - 1
                 try:
-                    self.epochs.append(json.loads(line.decode("utf-8")))
+                    epoch = json.loads(line.decode("utf-8"))
                 except (ValueError, UnicodeDecodeError):
                     if last_line:
                         self.truncated = True
                         break
+                    epoch = None
+                # A line that parses but holds no epoch object is not a
+                # torn write, wherever it is.
+                if not isinstance(epoch, dict):
                     raise ReproError(
                         f"spool {segment.name}: corrupt epoch line {j}"
                     )
+                self.epochs.append(epoch)
 
     # -- stream views --------------------------------------------------------
 

@@ -175,7 +175,7 @@ class TestRunnerIntegration:
         (_, cold_result) = cold.baseline("compress")
         assert result.stats.as_dict() == cold_result.stats.as_dict()
         # the hit is visible in the timing log
-        assert any(rec.baseline_cache_hit for rec in warm.cell_log)
+        assert [rec.source for rec in warm.cell_log] == ["baseline-cache"]
 
     def test_changed_cost_model_misses(self, tmp_path):
         """Satellite 4: a cost-model change must invalidate, not hit."""

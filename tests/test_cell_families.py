@@ -130,8 +130,8 @@ def test_earlier_profiles_survive_later_cells(monkeypatch):
     at_return = {}
     original = ExperimentRunner._compute
 
-    def recording(self, spec, families, **kwargs):
-        result, record = original(self, spec, families, **kwargs)
+    def recording(self, spec, family, **kwargs):
+        result, record = original(self, spec, family, **kwargs)
         assert spec not in at_return
         at_return[spec] = {
             name: dict(p.counts) for name, p in result.profiles.items()
@@ -197,9 +197,18 @@ def test_pool_agrees_with_serial(batch_results):
     ]
     assert _merged_profile(pooled) == _merged_profile(serial)
     assert _merged_profile(serial)["runs"] == len(BATCH)
-    assert [rec.label for rec in runner.cell_log] == [
-        spec.describe() for spec in BATCH
-    ]
+    # The whole cell log, baselines first, record for record: a pooled
+    # cell's source names its worker.
+    assert [
+        (rec.label, "serial" if rec.source.startswith("pool:") else rec.source)
+        for rec in runner.cell_log
+    ] == [(rec.label, rec.source) for rec in _serial_runner.cell_log]
+    assert [rec.label for rec in _serial_runner.cell_log] == [
+        f"baseline:{name}" + ("@1" if name == "compress" else "")
+        for name in ("compress", "dynload", "osr")
+    ] + [spec.describe() for spec in BATCH]
+    assert any(rec.source.startswith("pool:") for rec in runner.cell_log)
+    assert runner.metrics.snapshot() == _serial_runner.metrics.snapshot()
     assert (
         runner.metrics.counter("harness.transform.families").value
         == len(FAMILIES)

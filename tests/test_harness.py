@@ -86,7 +86,42 @@ class TestRunner:
             yieldpoint_opt=True,
         )
         text = spec.describe()
-        assert "db" in text and "counter@100" in text and "yp-opt" in text
+        assert text == "db / full-duplication / call-edge / counter@100 / yp-opt"
+
+    def test_specs_that_can_run_differently_have_distinct_labels(self):
+        """Each spec differs from the first in one field, and each field
+        at its default is not spelled, so a default cell keeps its
+        label. The seed is spelled only for the randomized trigger."""
+        from dataclasses import replace
+
+        base = RunSpec("compress", Strategy.FULL_DUPLICATION, ("call-edge",),
+                       trigger="randomized", interval=100)
+        variants = [
+            base,
+            replace(base, workload="jess"),
+            replace(base, strategy=Strategy.PARTIAL_DUPLICATION),
+            replace(base, instrumentation=("field-access",)),
+            replace(base, instrumentation=("call-edge", "field-access")),
+            replace(base, trigger="counter"),
+            replace(base, interval=101),
+            replace(base, yieldpoint_opt=True),
+            replace(base, scale=1),
+            replace(base, timer_period=5000),
+            replace(base, phase=3),
+            replace(base, seed=11),
+            replace(base, seed=12),
+            replace(base, plan=(("rleCompress", "no-duplication"),)),
+            replace(base, plan=(("main", "no-duplication"),)),
+            replace(base, plan=(("main", "partial-duplication"),)),
+            replace(base, sample_iterations=4),
+        ]
+        labels = [spec.describe() for spec in variants]
+        assert len(set(labels)) == len(variants), labels
+        assert labels[0] == (
+            "compress / full-duplication / call-edge / randomized@100"
+        )
+        counter = replace(base, trigger="counter")
+        assert replace(counter, seed=11).describe() == counter.describe()
 
     def test_overhead_percent_math(self):
         assert overhead_percent(100, 150) == pytest.approx(50.0)
@@ -150,6 +185,15 @@ class TestTableGenerators:
         # overhead decreases with interval, samples decrease
         assert full100[4] < full1[4]
         assert full100[1] < full1[1]
+
+    def test_table5_logs_every_cell_under_its_own_label(self):
+        """Table 5's counter grid runs three phases per interval; each
+        cell in the log is named apart from the others."""
+        runner = ExperimentRunner(cache=False)
+        table5(runner, workloads=SUBSET, scale=1)
+        labels = [rec.label for rec in runner.cell_log]
+        assert len(labels) > 2 * 9
+        assert len(set(labels)) == len(labels)
 
     def test_table5_reports_both_triggers(self, runner):
         result = table5(runner, workloads=["db"])

@@ -160,13 +160,11 @@ FAMILIES = [
 
 
 def _harness_counters(runner):
-    """The runner's own counters, less the baseline cache's: pool
-    workers run their own baselines, so cache traffic may differ."""
+    """The runner's own counters, baseline-cache traffic included."""
     return {
         key: payload["value"]
         for key, payload in runner.metrics.snapshot().items()
         if key.startswith("harness.")
-        and not key.startswith("harness.baseline_cache.")
     }
 
 
@@ -175,7 +173,8 @@ class TestOneKeepingPath:
         kept = {}
         for jobs in (1, 2):
             runner = ExperimentRunner(
-                cache=False, jobs=jobs, telemetry=True, profile=True,
+                cache=str(tmp_path / f"cache-{jobs}"), jobs=jobs,
+                telemetry=True, profile=True,
                 stream=tmp_path / f"jobs-{jobs}",
             )
             runner.run_many(FAMILIES)
@@ -188,6 +187,11 @@ class TestOneKeepingPath:
         for name in ("audit.cells", "audit.reconciled", "profile.cells",
                      "stream.cells", "transform.families"):
             assert counters[f"harness.{name}"] == len(FAMILIES)
+        # each of the two workloads' baselines missed the empty cache
+        # once and was stored once, in the parent
+        assert counters["harness.baseline_cache.misses"] == 2
+        assert counters["harness.baseline_cache.stores"] == 2
+        assert "harness.baseline_cache.hits" not in counters
         # every cell was computed by the batch, none reused
         assert memo_hits == 0
 
@@ -220,6 +224,32 @@ class TestOneKeepingPath:
         assert [rec.source for rec in runner.cell_log] == (
             ["baseline", "serial"] + ["derived"] * 3
         )
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the forked workers inherit the patched baseline",
+)
+def test_workers_run_no_baseline(monkeypatch):
+    """A batch runs every family's baseline in the parent, each once,
+    before it hands any family to a worker: here a baseline computed in
+    any other process raises."""
+    parent = os.getpid()
+    baseline = ExperimentRunner.baseline
+
+    def parent_only(self, name, scale=None):
+        if (name, scale) not in self._baselines and os.getpid() != parent:
+            raise RuntimeError(f"baseline of {name} computed in a worker")
+        return baseline(self, name, scale)
+
+    monkeypatch.setattr(ExperimentRunner, "baseline", parent_only)
+    runner = ExperimentRunner(cache=False, jobs=2)
+    runner.run_many(SWEEP)
+    assert [rec.label for rec in runner.cell_log[:2]] == [
+        "baseline:compress", "baseline:jess",
+    ]
+    assert all(rec.source.startswith("pool:")
+               for rec in runner.cell_log[2:])
 
 
 class TestWorkersAdoptTheRunner:
@@ -302,8 +332,9 @@ def _die_with_db(specs):
 )
 class TestAKilledWorker:
     """A worker that dies holding a family ends the batch with an error
-    that names the family, and the CLI exits 1: the parent never waits
-    for a result that cannot come. Nothing here depends on timing."""
+    that names the family: the parent never waits for a result that
+    cannot come. Nothing here depends on timing. (``repro tables`` over
+    a dying pool is a row of tests/test_bad_inputs.py.)"""
 
     def test_ends_the_batch_with_an_error(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_family", _die_with_db)
@@ -316,17 +347,3 @@ class TestAKilledWorker:
         with pytest.raises(HarnessError, match="pool worker died") as err:
             runner.run_many(specs)
         assert specs[1].describe() in str(err.value)
-
-    def test_repro_tables_prints_the_error_and_exits_1(
-        self, monkeypatch, capsys
-    ):
-        from repro.cli import main
-
-        monkeypatch.setattr(parallel, "_run_family", _die_with_db)
-        code = main(
-            ["tables", "table3", "--jobs", "2", "--no-cache", "--scale", "1"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: a pool worker died")
-        assert "db / no-duplication / call-edge" in err
