@@ -8,13 +8,15 @@ invisible: every cell of a mixed batch equals the same spec run alone
 in a fresh runner (value, cycles, stats, profiles, manifest), earlier
 cells' profiles survive later cells of their family, the transform runs
 once per family, and the pool agrees with the serial path (cells,
-manifests, and the batch's merged self-profile).
+manifests, the batch's merged self-profile, the cell log and the
+harness counters).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -185,7 +187,7 @@ def test_transform_runs_once_per_family(monkeypatch):
 
 
 def test_pool_agrees_with_serial(batch_results):
-    _serial_runner, serial = batch_results
+    serial_runner, serial = batch_results
     runner = ExperimentRunner(cache=False, telemetry=True, profile=True,
                               jobs=2)
     pooled = runner.run_many(BATCH)
@@ -200,15 +202,15 @@ def test_pool_agrees_with_serial(batch_results):
     # The whole cell log, baselines first, record for record: a pooled
     # cell's source names its worker.
     assert [
-        (rec.label, "serial" if rec.source.startswith("pool:") else rec.source)
+        (rec.label, re.sub(r"^pool:\d+$", "serial", rec.source))
         for rec in runner.cell_log
-    ] == [(rec.label, rec.source) for rec in _serial_runner.cell_log]
-    assert [rec.label for rec in _serial_runner.cell_log] == [
+    ] == [(rec.label, rec.source) for rec in serial_runner.cell_log]
+    assert [rec.label for rec in serial_runner.cell_log] == [
         f"baseline:{name}" + ("@1" if name == "compress" else "")
         for name in ("compress", "dynload", "osr")
     ] + [spec.describe() for spec in BATCH]
     assert any(rec.source.startswith("pool:") for rec in runner.cell_log)
-    assert runner.metrics.snapshot() == _serial_runner.metrics.snapshot()
+    assert runner.metrics.snapshot() == serial_runner.metrics.snapshot()
     assert (
         runner.metrics.counter("harness.transform.families").value
         == len(FAMILIES)
